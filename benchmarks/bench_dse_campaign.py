@@ -1,4 +1,4 @@
-"""Campaign engine benchmark — cached (+parallel) DSE vs the seed nested loop.
+"""Campaign engine benchmark — cached DSE vs the seed nested loop.
 
 Runs the same 3-network x 2-device x (m, budget, frequency) campaign two
 ways:
@@ -12,8 +12,8 @@ ways:
   credit.
 
 Asserts the engine returns exactly the seed loop's points at >= 3x the
-speed, and (separately, with an explicit process executor) that the serial
-and process-pool paths produce byte-identical design points.  Set
+speed, and (separately) that the serial and vectorized executors produce
+byte-identical design points.  Set
 ``REPRO_BENCH_FAST=1`` to shrink the grid for smoke runs; smoke mode skips
 the wall-clock assertion.
 """
@@ -142,7 +142,7 @@ def test_campaign_speedup_over_seed_loop(benchmark):
         )
 
 
-def test_serial_and_parallel_paths_byte_identical():
+def test_serial_and_vectorized_paths_byte_identical():
     serial = list(
         iter_explore(
             NETWORK_NAMES,
@@ -152,14 +152,14 @@ def test_serial_and_parallel_paths_byte_identical():
             executor=ExecutorConfig(mode="serial"),
         )
     )
-    parallel = list(
+    vectorized = list(
         iter_explore(
             NETWORK_NAMES,
             SPEC,
             devices=DEVICE_NAMES,
-            cache=EvaluationCache(),
-            executor=ExecutorConfig(mode="process", max_workers=2),
+            cache=False,
+            executor=ExecutorConfig(mode="vectorized"),
         )
     )
-    assert len(serial) == len(parallel)
-    assert [pickle.dumps(a) for a in serial] == [pickle.dumps(b) for b in parallel]
+    assert len(serial) == len(vectorized)
+    assert [pickle.dumps(a) for a in serial] == [pickle.dumps(b) for b in vectorized]

@@ -25,7 +25,7 @@ Subpackages
     comparison tables.
 ``repro.dse``
     Campaign-scale evaluation engine: a memoised evaluation layer, a
-    chunked process-pool executor with a serial fallback, and
+    serial oracle and a bit-identical vectorized NumPy batch executor, and
     ``Campaign``/``CampaignResult`` aggregation (per-network Pareto fronts,
     best-by-metric picks, comparison tables).
 ``repro.experiments``

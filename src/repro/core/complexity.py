@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
+import numpy as np
+
 from ..nn.layers import ConvLayer
 from ..nn.model import Network
 from ..winograd.op_count import TransformOpCounts, count_transform_ops
@@ -156,8 +158,6 @@ def batch_implementation_transform_complexity(
     scalar path so every element is bit-identical to a scalar call with the
     same ``P``.
     """
-    import numpy as np  # gated: only the vectorized DSE path needs numpy
-
     from ..winograd.op_count import cached_transform_ops
 
     parallel_pes = np.asarray(parallel_pes)

@@ -11,7 +11,7 @@ points (:func:`explore`, :func:`sweep_tile_sizes`,
 
 The evaluation itself is delegated to :mod:`repro.dse`, the campaign-scale
 engine that memoises repeated ``(m, r)`` transform/complexity work and can
-fan evaluations out over a process pool; ``explore`` keeps its historical
+evaluate whole grids as NumPy batches; ``explore`` keeps its historical
 signature and ordering, so existing callers see the same points — just
 faster.  :class:`SweepSpec` is also the grid vocabulary of the declarative
 :mod:`repro.experiments` layer: its ``to_dict``/``from_dict`` round-trip is
@@ -336,13 +336,12 @@ def explore(
     cache:
         A :class:`repro.dse.EvaluationCache` to memoise repeated work in, the
         shared global cache when ``None``, or ``False`` to disable caching
-        entirely (every point is re-evaluated from scratch).  A supplied
-        cache serves the serial path; process-pool workers memoise in their
-        own per-process caches (``False`` disables both).
+        entirely (every point is re-evaluated from scratch).  The cache
+        serves the serial path; the vectorized engine memoises nothing.
     executor:
-        A :class:`repro.dse.ExecutorConfig` selecting serial, vectorized
-        (NumPy batch, bit-identical results) or process-pool execution;
-        ``None`` uses the serial path.
+        A :class:`repro.dse.ExecutorConfig` selecting serial or vectorized
+        (NumPy batch, bit-identical results) execution; ``None`` uses the
+        serial path.
     """
     from ..dse.engine import explore_cached  # deferred: repro.dse builds on this module
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+import numpy as np
+
 from ..nn.layers import ConvLayer
 from ..nn.model import Network
 
@@ -199,8 +201,6 @@ def batch_network_latency(
     mirror the scalar path, so each slice of the result is bit-identical to
     the :class:`LatencyReport` the scalar evaluator would produce.
     """
-    import numpy as np  # gated: only the vectorized DSE path needs numpy
-
     pes = np.asarray(pes)
     if m < 1:
         raise ValueError("m must be >= 1")

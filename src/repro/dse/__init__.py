@@ -1,4 +1,4 @@
-"""Campaign-scale design-space exploration: caching, parallelism, aggregation.
+"""Campaign-scale design-space exploration: caching, batching, aggregation.
 
 The seed :func:`repro.core.explore` evaluated one network on one device with
 a scalar nested loop, recomputing identical ``(m, r)`` transform and
@@ -9,9 +9,10 @@ turns that into a campaign engine:
   ``(network, device, calibration, m, r, budget, frequency, shared)`` that
   makes repeated sweeps and overlapping grids near-free;
 * :mod:`repro.dse.engine` — :func:`iter_explore`, a streaming evaluator over
-  networks x devices x sweep specs with a chunked ``ProcessPoolExecutor``
-  path and a serial fallback, both returning identical points in identical
-  order;
+  networks x devices x sweep specs; its serial path is the bit-identity
+  oracle and honours an explicit cache, and ``ExecutorConfig`` routes
+  larger grids to the vectorized engine, which returns identical points in
+  identical order;
 * :mod:`repro.dse.vectorized` — :func:`evaluate_cell_batch`, the NumPy
   batch engine behind ``ExecutorConfig(mode="vectorized")``: one
   ``(network, device)`` cell's whole ``m x r x budget x frequency`` grid as
@@ -63,7 +64,6 @@ from .vectorized import (
     DOES_NOT_FIT,
     EXCEEDS_ERROR_BUDGET,
     evaluate_cell_batch,
-    numpy_available,
 )
 
 __all__ = [
@@ -74,7 +74,6 @@ __all__ = [
     "DOES_NOT_FIT",
     "EXCEEDS_ERROR_BUDGET",
     "evaluate_cell_batch",
-    "numpy_available",
     "CacheStats",
     "EvaluationCache",
     "global_cache",

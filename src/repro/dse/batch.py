@@ -5,8 +5,8 @@ entries of *one* ``(network, device)`` cell at once.  An online service
 sees the opposite shape: a micro-batch of independent requests that may
 mix networks, devices and calibrations freely.  :func:`evaluate_requests`
 bridges the two — it groups a request list by cell, dispatches each group
-through the vectorized engine (or the scalar evaluator when numpy is
-unavailable) and returns one :class:`BatchOutcome` per request, aligned
+through the vectorized engine (or, on request, the scalar evaluator) and
+returns one :class:`BatchOutcome` per request, aligned
 with the input order.
 
 Guarantees:
@@ -105,7 +105,7 @@ def _serial_outcome(
 def evaluate_requests(
     requests: Sequence[EvalRequest],
     cache: CacheLike = None,
-    vectorized: Optional[bool] = None,
+    vectorized: bool = True,
 ) -> List[BatchOutcome]:
     """Evaluate a heterogeneous request batch; one outcome per request.
 
@@ -118,20 +118,13 @@ def evaluate_requests(
     Parameters
     ----------
     cache:
-        Serves the scalar fallback path (``None`` = the process-wide
-        cache, ``False`` = uncached).  The vectorized fast path never
-        touches it.
+        Serves the scalar path (``None`` = the process-wide cache,
+        ``False`` = uncached).  The vectorized path never touches it.
     vectorized:
-        ``None`` uses the NumPy engine when importable; ``False`` forces
-        the scalar evaluator (identical results); ``True`` requires numpy
-        and raises ``RuntimeError`` without it.
+        ``False`` runs the scalar evaluator instead of the NumPy engine —
+        the bit-identity oracle (identical results).
     """
-    from .vectorized import evaluate_cell_batch, numpy_available
-
-    if vectorized is None:
-        vectorized = numpy_available()
-    elif vectorized and not numpy_available():
-        raise RuntimeError("vectorized batch evaluation requires numpy")
+    from .vectorized import evaluate_cell_batch
 
     requests = list(requests)
     outcomes: List[Optional[BatchOutcome]] = [None] * len(requests)

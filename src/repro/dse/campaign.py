@@ -319,13 +319,12 @@ def run_campaign(
     strategy streams through the same :func:`~repro.dse.engine.iter_explore`
     core).  Uses the shared memoising evaluator (so overlapping grids across
     sweeps and repeated campaigns are near-free).  Runs serially unless an
-    ``executor`` opting into the vectorized batch engine or the chunked
-    process pool is given (``ExecutorConfig(mode="auto")``, ``"vectorized"``
-    or ``"process"``; the vectorized engine evaluates whole cells as NumPy
-    array operations with bit-identical results).  ``cache_stats`` on
-    the result counts this run's cache traffic (worker-side counters
-    included in process mode; approximate if other threads share the same
-    cache concurrently); it stays zero when ``cache=False``.
+    ``executor`` opting into the vectorized batch engine is given
+    (``ExecutorConfig(mode="auto")`` or ``"vectorized"``; the vectorized
+    engine evaluates whole cells as NumPy array operations with
+    bit-identical results).  ``cache_stats`` on the result counts this
+    run's cache traffic (approximate if other threads share the same cache
+    concurrently); it stays zero when ``cache=False``.
     """
     from ..experiments.runner import Evaluator  # deferred: avoids import cycle
     from ..experiments.strategies import GridStrategy

@@ -1,6 +1,6 @@
-"""Cached, parallel evaluation engine behind ``explore`` and campaigns.
+"""Cached evaluation engine behind ``explore`` and campaigns.
 
-Three pieces live here:
+Two pieces live here:
 
 * :func:`evaluate_design_cached` — a drop-in for
   :func:`repro.core.design_point.evaluate_design` that routes every
@@ -9,19 +9,14 @@ Three pieces live here:
   calls the uncached path would make with the same arguments).
 * :func:`iter_explore` — a streaming iterator over the cross-product of
   networks x devices x sweep configurations, yielding fully evaluated
-  design points in deterministic order.
-* the process-pool executor — work is chunked so that every chunk shares one
-  ``(network, device)`` cell and a contiguous run of grid entries (which the
-  canonical ``m``-major ordering keeps clustered by ``(m, r)``), letting each
-  worker's cache serve most of its chunk.  Results are re-assembled in
-  submission order, so the parallel path returns exactly the serial
-  sequence; a serial fallback runs everything in-process when the machine
-  has a single core, the grid is small, or ``mode="serial"`` is forced.
+  design points in deterministic order.  :class:`ExecutorConfig` picks
+  how: the serial path (the bit-identity oracle, and the only one that
+  evaluates through a cache) or the vectorized batch engine of
+  :mod:`repro.dse.vectorized`, which returns exactly the serial sequence.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -34,7 +29,9 @@ from ..nn.registry import resolve_network
 from .cache import CacheStats, EvaluationCache, global_cache, network_fingerprint
 
 __all__ = [
+    "EXECUTOR_MODES",
     "ExecutorConfig",
+    "MIN_GRID_FOR_VECTORIZED",
     "chunk_entries",
     "evaluate_design_cached",
     "iter_explore",
@@ -47,54 +44,31 @@ SpecLike = Union[SweepSpec, Sequence[SweepSpec]]
 CacheLike = Union[EvaluationCache, None, bool]
 
 
+#: ``"auto"`` evaluates grids of at least this many entries with the
+#: vectorized engine; tiny grids do not amortise the array set-up.
+MIN_GRID_FOR_VECTORIZED = 32
+
+#: Executor modes :class:`ExecutorConfig` accepts.
+EXECUTOR_MODES = ("auto", "serial", "vectorized")
+
+
 @dataclass(frozen=True)
 class ExecutorConfig:
     """How a sweep's evaluations are executed.
 
-    Attributes
-    ----------
-    mode:
-        ``"serial"`` evaluates in-process one entry at a time;
-        ``"vectorized"`` evaluates each ``(network, device)`` cell as
-        stacked NumPy array operations (see :mod:`repro.dse.vectorized`),
-        bit-identical to serial; ``"process"`` forces a
-        ``ProcessPoolExecutor``; ``"auto"`` picks the vectorized engine for
-        grids of at least ``min_grid_for_vectorized`` entries (falling back
-        to the process pool, then serial, when numpy or cores are missing).
-    max_workers:
-        Pool size; defaults to ``os.cpu_count()`` capped at 8.
-    chunk_size:
-        Grid entries per work chunk; auto-sized to give each worker several
-        chunks while keeping per-chunk pickling overhead small.
-    min_grid_for_processes:
-        ``"auto"`` does not use the process pool below this many total
-        evaluations.
-    min_grid_for_vectorized:
-        ``"auto"`` does not use the vectorized engine below this many total
-        evaluations (tiny grids do not amortise the array set-up).
+    ``mode`` is ``"serial"`` (in-process, one entry at a time, through the
+    evaluation cache — the bit-identity oracle), ``"vectorized"`` (each
+    ``(network, device)`` cell as stacked NumPy array operations, see
+    :mod:`repro.dse.vectorized`; bit-identical to serial) or ``"auto"``
+    (vectorized for grids of at least :data:`MIN_GRID_FOR_VECTORIZED`
+    entries, serial otherwise).
     """
 
     mode: str = "auto"
-    max_workers: Optional[int] = None
-    chunk_size: Optional[int] = None
-    min_grid_for_processes: int = 64
-    min_grid_for_vectorized: int = 32
 
     def __post_init__(self) -> None:
-        if self.mode not in ("auto", "serial", "vectorized", "process"):
+        if self.mode not in EXECUTOR_MODES:
             raise ValueError(f"unknown executor mode {self.mode!r}")
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        if self.min_grid_for_vectorized < 0:
-            raise ValueError("min_grid_for_vectorized must be >= 0")
-
-    def resolved_workers(self) -> int:
-        """Effective pool size (``max_workers`` or cpu count capped at 8)."""
-        if self.max_workers is not None:
-            return self.max_workers
-        return max(1, min(os.cpu_count() or 1, 8))
 
     def choose_mode(self, total_evaluations: int, explicit_cache: bool = False) -> str:
         """Resolve the execution mode for a run of ``total_evaluations``.
@@ -102,58 +76,23 @@ class ExecutorConfig:
         ``explicit_cache`` marks a caller-supplied
         :class:`~repro.dse.cache.EvaluationCache`: that is a request for
         evaluation *through* the cache, which only the serial path honours
-        (workers memoise per-process, the vectorized engine not at all), so
-        ``"auto"`` prefers serial then.  Forced modes win over the cache
-        preference; a forced ``"vectorized"`` without numpy degrades to
-        serial (identical results, just slower) with a warning.
+        (the vectorized engine memoises nothing), so ``"auto"`` prefers
+        serial then.  A forced mode wins over the cache preference.
         """
-        from .vectorized import numpy_available  # deferred: optional numpy gate
-
-        if self.mode == "serial":
+        if self.mode != "auto":
+            return self.mode
+        if explicit_cache or total_evaluations < MIN_GRID_FOR_VECTORIZED:
             return "serial"
-        if self.mode == "vectorized":
-            if not numpy_available():
-                import warnings
-
-                warnings.warn(
-                    "ExecutorConfig(mode='vectorized') requires numpy, which is "
-                    "not importable; falling back to the serial path "
-                    "(identical results)",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                return "serial"
-            return "vectorized"
-        if self.mode == "process":
-            return "process"
-        # auto
-        if explicit_cache:
-            return "serial"
-        if numpy_available() and total_evaluations >= self.min_grid_for_vectorized:
-            return "vectorized"
-        if (
-            (os.cpu_count() or 1) > 1
-            and self.resolved_workers() > 1
-            and total_evaluations >= self.min_grid_for_processes
-        ):
-            return "process"
-        return "serial"
-
-    def resolved_chunk_size(self, cell_entries: int) -> int:
-        """Entries per work chunk (explicit, or ~4 chunks per worker)."""
-        if self.chunk_size is not None:
-            return self.chunk_size
-        workers = self.resolved_workers()
-        return max(4, -(-cell_entries // (workers * 4)))
+        return "vectorized"
 
 
 def chunk_entries(entries: Sequence[GridEntry], chunk_size: int) -> List[Tuple[GridEntry, ...]]:
     """Split ``entries`` into contiguous chunks of at most ``chunk_size``.
 
     Order-preserving: concatenating the chunks reproduces ``entries``
-    exactly, which is what lets both the process-pool executor and the
-    service's job scheduler (:mod:`repro.service.jobs`) reassemble chunk
-    results into the serial evaluation order.
+    exactly, which is what lets the service's job scheduler
+    (:mod:`repro.service.jobs`) reassemble shard results into the serial
+    evaluation order.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
@@ -315,7 +254,7 @@ class _CachedComponents:
 
 
 # --------------------------------------------------------------------- #
-# Grid evaluation (serial and chunked-parallel)
+# Grid evaluation (serial oracle and vectorized batch)
 # --------------------------------------------------------------------- #
 def _evaluate_entry(
     network: Network,
@@ -354,48 +293,6 @@ def _evaluate_entry(
     ):
         return None
     return point
-
-
-@dataclass(frozen=True)
-class _Chunk:
-    """One unit of parallel work: a slice of grid entries on one cell."""
-
-    network: Network
-    device: FpgaDevice
-    calibration: Calibration
-    entries: Tuple[GridEntry, ...]
-    skip_infeasible: bool
-    use_cache: bool
-
-
-def _evaluate_chunk(chunk: _Chunk) -> Tuple[List[Optional[DesignPoint]], int, int]:
-    """Worker entry point.
-
-    Caches cannot cross process boundaries, so a worker uses its own
-    process-wide cache when caching is enabled (warm-started by fork on
-    platforms that fork) and the raw evaluator when it is disabled.
-    Returns the evaluated slice plus the cache hits/misses it incurred, so
-    the parent can aggregate per-run statistics.
-    """
-    cache = global_cache() if chunk.use_cache else False
-    before = global_cache().total if chunk.use_cache else None
-    fingerprint = network_fingerprint(chunk.network) if chunk.use_cache else None
-    results = [
-        _evaluate_entry(
-            chunk.network,
-            chunk.device,
-            chunk.calibration,
-            entry,
-            chunk.skip_infeasible,
-            cache,
-            fingerprint,
-        )
-        for entry in chunk.entries
-    ]
-    if before is None:
-        return results, 0, 0
-    delta = global_cache().total.delta_since(before)
-    return results, delta.hits, delta.misses
 
 
 def _ensure_tuple(value, scalar_types: tuple) -> tuple:
@@ -449,33 +346,26 @@ def iter_explore(
 
     Points are yielded in deterministic order — network-major, then device,
     then sweep-spec, then the spec's canonical grid order — regardless of the
-    execution mode, so serial and parallel runs are interchangeable.
+    execution mode, so serial and vectorized runs are interchangeable.
 
     ``networks`` and ``devices`` accept registry names (see
     :func:`repro.nn.registry.get_network` / :func:`repro.hw.device.get_device`)
-    as well as concrete objects.  ``cache=None`` uses the process-wide cache
-    and ``cache=False`` disables memoisation, in every execution mode; a
-    caller-supplied :class:`EvaluationCache` serves the serial path, while
-    process-pool workers always memoise in their own per-process caches
-    (objects cannot be shared across process boundaries — fork-based
-    platforms warm-start workers from the parent's process-wide cache).
+    as well as concrete objects.  On the serial path ``cache=None`` uses the
+    process-wide cache, ``cache=False`` disables memoisation and a
+    caller-supplied :class:`EvaluationCache` serves every evaluation.
 
     ``stats_out``, when given, accumulates the cache hits/misses incurred by
-    this call (including worker-side counters in process mode).  Attribution
-    works by snapshotting the serving cache's counters around the run, so
-    when several explorations share one cache *concurrently* (threads, or
-    interleaved generators) the split between them is approximate.
+    this call.  Attribution works by snapshotting the serving cache's
+    counters around the run, so when several explorations share one cache
+    *concurrently* (threads, or interleaved generators) the split between
+    them is approximate.
 
     ``executor=None`` runs strictly serially — the safe library default.
     Pass ``ExecutorConfig(mode="vectorized")`` to evaluate each cell as
     stacked NumPy array operations (bit-identical results, an order of
     magnitude faster on Fig. 6-scale grids; no cache traffic, so
-    ``stats_out`` stays untouched), or ``mode="process"`` for the chunked
-    process pool; ``mode="auto"`` picks the vectorized engine for grids of
-    ``min_grid_for_vectorized`` entries or more.  As with any
-    ``ProcessPoolExecutor`` user, scripts that may select the pool on
-    spawn-start platforms (Windows, macOS) must guard their entry point
-    with ``if __name__ == "__main__":``.
+    ``stats_out`` stays untouched); ``mode="auto"`` picks the vectorized
+    engine for grids of :data:`MIN_GRID_FOR_VECTORIZED` entries or more.
     """
     nets = _normalize_networks(networks)
     devs = _normalize_devices(devices)
@@ -494,21 +384,19 @@ def iter_explore(
     shared_cache = (cache if explicit_cache else global_cache()) if use_cache else False
 
     # A caller-supplied cache is a request for evaluation *through* that
-    # cache, which only the serial path honours — worker processes memoise
-    # in their own per-process caches and the vectorized engine memoises
-    # nothing — so auto mode prefers the serial path then.  Forcing
-    # mode="process"/"vectorized" overrides (the explicit mode wins over
-    # the cache preference), but the supplied cache then goes unused — warn
+    # cache, which only the serial path honours — the vectorized engine
+    # memoises nothing — so auto mode prefers the serial path then.
+    # Forcing mode="vectorized" overrides (the explicit mode wins over the
+    # cache preference), but the supplied cache then goes unused — warn
     # rather than silently ignore it.
     mode = executor.choose_mode(total, explicit_cache=explicit_cache)
     if mode != "serial" and explicit_cache:
         import warnings
 
         warnings.warn(
-            f"iter_explore: the supplied EvaluationCache cannot serve the "
-            f"{mode!r} executor (workers memoise in per-process caches, the "
-            f"vectorized engine not at all); use mode='auto' or 'serial' to "
-            f"evaluate through it",
+            "iter_explore: the supplied EvaluationCache cannot serve the "
+            "vectorized executor (it memoises nothing); use mode='auto' or "
+            "'serial' to evaluate through it",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -526,72 +414,23 @@ def iter_explore(
                     raise batch.pending_error
         return
 
-    if mode == "serial":
-        before = shared_cache.total if use_cache else CacheStats()
-        try:
-            for network in nets:
-                fingerprint = network_fingerprint(network) if use_cache else None
-                for device in devs:
-                    for entry in entries:
-                        point = _evaluate_entry(
-                            network, device, calibration, entry, skip_infeasible,
-                            shared_cache, fingerprint,
-                        )
-                        if point is not None:
-                            yield point
-        finally:
-            if stats_out is not None and use_cache:
-                delta = shared_cache.total.delta_since(before)
-                stats_out.hits += delta.hits
-                stats_out.misses += delta.misses
-        return
-
-    chunk_size = executor.resolved_chunk_size(len(entries))
-    chunks = [
-        _Chunk(
-            network=network,
-            device=device,
-            calibration=calibration,
-            entries=chunk,
-            skip_infeasible=skip_infeasible,
-            use_cache=use_cache,
-        )
-        for network in nets
-        for device in devs
-        for chunk in chunk_entries(entries, chunk_size)
-    ]
-
-    from collections import deque
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = executor.resolved_workers()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # Submit chunks with a bounded in-flight window rather than all at
-        # once, so abandoning the iterator early cancels the un-started
-        # tail instead of evaluating the whole grid.  FIFO consumption of
-        # the window preserves the serial ordering.
-        chunk_iter = iter(chunks)
-        in_flight = deque()
-        try:
-            for _ in range(2 * workers):
-                chunk = next(chunk_iter, None)
-                if chunk is None:
-                    break
-                in_flight.append(pool.submit(_evaluate_chunk, chunk))
-            while in_flight:
-                results, hits, misses = in_flight.popleft().result()
-                chunk = next(chunk_iter, None)
-                if chunk is not None:
-                    in_flight.append(pool.submit(_evaluate_chunk, chunk))
-                if stats_out is not None:
-                    stats_out.hits += hits
-                    stats_out.misses += misses
-                for point in results:
+    before = shared_cache.total if use_cache else CacheStats()
+    try:
+        for network in nets:
+            fingerprint = network_fingerprint(network) if use_cache else None
+            for device in devs:
+                for entry in entries:
+                    point = _evaluate_entry(
+                        network, device, calibration, entry, skip_infeasible,
+                        shared_cache, fingerprint,
+                    )
                     if point is not None:
                         yield point
-        finally:
-            for future in in_flight:
-                future.cancel()
+    finally:
+        if stats_out is not None and use_cache:
+            delta = shared_cache.total.delta_since(before)
+            stats_out.hits += delta.hits
+            stats_out.misses += delta.misses
 
 
 def explore_cached(

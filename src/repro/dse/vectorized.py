@@ -53,7 +53,6 @@ from ..nn.model import Network
 from ..winograd.quantized import calibrated_error, validate_bit_width
 
 __all__ = [
-    "numpy_available",
     "BatchResult",
     "evaluate_cell_batch",
     "DOES_NOT_FIT",
@@ -71,19 +70,6 @@ DOES_NOT_FIT = "design does not fit device {device!r}"
 EXCEEDS_ERROR_BUDGET = (
     "design max_rel_error {error:.6g} exceeds error budget {budget:.6g}"
 )
-
-
-def numpy_available() -> bool:
-    """Whether the optional numpy dependency is importable.
-
-    The vectorized executor is gated on this so environments without numpy
-    degrade to the (identical-result) serial path instead of failing.
-    """
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 @dataclass

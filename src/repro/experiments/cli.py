@@ -50,7 +50,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from ..dse.campaign import CampaignResult, metric_direction
-from ..dse.engine import ExecutorConfig
+from ..dse.engine import EXECUTOR_MODES, ExecutorConfig
 from ..hw.device import known_devices
 from ..nn.registry import known_networks
 from ..reporting import (
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--executor",
-        choices=("serial", "auto", "vectorized", "process"),
+        choices=EXECUTOR_MODES,
         help="override the spec's executor mode",
     )
     run_parser.add_argument(

@@ -4,7 +4,7 @@ The :class:`Evaluator` is the boundary between a search strategy and the
 evaluation machinery: strategies decide *which* configurations to probe,
 the evaluator owns *how* a probe happens — registry resolution, the
 memoising :class:`~repro.dse.cache.EvaluationCache`, feasibility filtering
-and the optional process-pool executor — and keeps the bookkeeping
+and the optional vectorized executor — and keeps the bookkeeping
 (evaluation counts, cache statistics) every run reports.
 
 :func:`run_experiment` ties it together: resolve the spec's strategy, hand
@@ -50,7 +50,7 @@ class Evaluator:
 
     Bulk path: :meth:`iter_grid` streams the full cross-product through
     :func:`repro.dse.engine.iter_explore`, which honours the configured
-    executor (vectorized NumPy batch or process pool) — this is what
+    executor (serial oracle or vectorized NumPy batch) — this is what
     :class:`GridStrategy` uses and is byte-identical to the legacy campaign
     engine in every mode.
 
@@ -146,9 +146,8 @@ class Evaluator:
         """Stream the full grid through the campaign engine (executor-aware).
 
         The whole grid is accounted to ``evaluations`` when consumption
-        starts: this path schedules every entry (chunked ahead of time in
-        process mode), so a partially consumed stream still reports the
-        scheduled grid, not the subset drained.  Strategies that probe
+        starts: this path schedules every entry, so a partially consumed
+        stream still reports the scheduled grid, not the subset drained.  Strategies that probe
         selectively should call the evaluator per entry instead.
         """
         self.evaluations += self.grid_size

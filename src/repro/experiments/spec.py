@@ -166,25 +166,38 @@ def calibration_from_dict(data: Optional[dict]) -> Calibration:
         raise ValueError(f"invalid calibration: {error}") from None
 
 
+#: Executor fields earlier versions wrote (process-pool sizing and the
+#: auto-mode thresholds, now fixed); loading drops them.
+RETIRED_EXECUTOR_FIELDS = (
+    "max_workers",
+    "chunk_size",
+    "min_grid_for_processes",
+    "min_grid_for_vectorized",
+)
+
+
 def executor_to_dict(executor: Optional[ExecutorConfig]) -> Optional[dict]:
     """Flatten an :class:`ExecutorConfig` to JSON (``None`` passes through)."""
     if executor is None:
         return None
-    return {
-        "mode": executor.mode,
-        "max_workers": executor.max_workers,
-        "chunk_size": executor.chunk_size,
-        "min_grid_for_processes": executor.min_grid_for_processes,
-        "min_grid_for_vectorized": executor.min_grid_for_vectorized,
-    }
+    return {"mode": executor.mode}
 
 
 def executor_from_dict(data: Optional[dict]) -> Optional[ExecutorConfig]:
-    """Inverse of :func:`executor_to_dict` (invalid mappings raise)."""
+    """Inverse of :func:`executor_to_dict` (invalid mappings raise).
+
+    Also reads every mapping earlier versions wrote: the
+    :data:`RETIRED_EXECUTOR_FIELDS` are dropped and the retired
+    ``"process"`` mode loads as ``"auto"``.  The executor never changes
+    results, so a legacy spec keeps its fingerprint.
+    """
     if data is None:
         return None
     if not isinstance(data, dict):
         raise ValueError(f"executor must be a mapping, got {type(data).__name__}")
+    data = {key: value for key, value in data.items() if key not in RETIRED_EXECUTOR_FIELDS}
+    if data.get("mode") == "process":
+        data["mode"] = "auto"
     try:
         return ExecutorConfig(**data)
     except TypeError as error:

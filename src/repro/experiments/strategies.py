@@ -88,7 +88,7 @@ class GridStrategy:
     """Exhaustive enumeration of the full grid in canonical order.
 
     Delegates to the evaluator's streaming grid walk, which routes through
-    the same cached (and optionally process-parallel) engine the legacy
+    the same cached (and optionally vectorized) engine the legacy
     ``Campaign.run()`` used — results are byte-identical to it.
     """
 

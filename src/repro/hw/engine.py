@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
+import numpy as np
+
 from ..winograd.op_count import TransformOpCounts, cached_transform_ops, count_transform_ops
 from .arithmetic import Precision
 from .calibration import Calibration, DEFAULT_CALIBRATION
@@ -92,8 +94,6 @@ def batch_max_parallel_pes(m: int, r: int, multiplier_budgets):
     Returns an integer array of PE counts; floor division on non-negative
     integers matches the scalar ``budget // per_pe`` exactly.
     """
-    import numpy as np  # gated: only the vectorized DSE path needs numpy
-
     budgets = np.asarray(multiplier_budgets)
     if np.any(budgets < 0):
         raise ValueError("multiplier budget must be non-negative")

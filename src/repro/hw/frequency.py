@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .calibration import DEFAULT_CALIBRATION, ResourceCalibration
 from .datapath import StageDatapath
 
@@ -61,15 +63,11 @@ def batch_cycle_time_ms(frequencies_mhz):
     latency model (Eq. (9)); identical operation order keeps every element
     bit-identical to the scalar path.
     """
-    import numpy as np  # gated: only the vectorized DSE path needs numpy
-
     return 1e3 / (np.asarray(frequencies_mhz) * 1e6)
 
 
 def batch_estimate_fmax(levels_of_logic):
     """Vector twin of :func:`estimate_fmax` (fmax in MHz per path depth)."""
-    import numpy as np  # gated: only the vectorized DSE path needs numpy
-
     levels = np.maximum(np.asarray(levels_of_logic), 1)
     return 1e3 / (_CLOCK_OVERHEAD_NS + levels * _LUT_LEVEL_DELAY_NS)
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .calibration import DEFAULT_CALIBRATION, PowerCalibration
 from .resources import ResourceEstimate
 
@@ -82,8 +84,6 @@ class PowerModel:
         the same float operations, in the same order, as the scalar
         :meth:`breakdown` path, so results are bit-identical per design.
         """
-        import numpy as np  # gated: only the vectorized DSE path needs numpy
-
         frequency_mhz = np.asarray(frequency_mhz)
         if np.any(frequency_mhz <= 0):
             raise ValueError("frequency must be positive")

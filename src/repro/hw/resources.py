@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+import numpy as np
+
 from .device import FpgaDevice
 
 __all__ = [
@@ -116,8 +118,6 @@ def batch_linear_resources(
     its scalar counterpart.  LUT/register/BRAM arrays are float64,
     DSP/multiplier arrays stay integral.
     """
-    import numpy as np  # gated: only the vectorized DSE path needs numpy
-
     factors = np.asarray(factors)
     return {
         "luts": base.luts + slope.luts * factors,

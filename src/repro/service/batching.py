@@ -115,7 +115,7 @@ class MicroBatcher:
         window_ms: float = 2.0,
         max_batch: int = 256,
         cache: CacheLike = None,
-        vectorized: Optional[bool] = None,
+        vectorized: bool = True,
         executor: Optional[Executor] = None,
         max_pending: Optional[int] = None,
         logger: Optional[StructuredLogger] = None,

@@ -12,14 +12,13 @@ How a spec becomes shards
 -------------------------
 :func:`plan_shards` splits a grid-strategy spec per ``(network, device)``
 cell and, for large grids, into contiguous chunks of at most
-``max_entries_per_shard`` grid entries per cell (the same contiguous
-chunking rule :func:`repro.dse.engine.chunk_entries` gives the process
-executor).  Each shard is itself a complete, re-runnable
-:class:`~repro.experiments.ExperimentSpec` — one network, one device, the
-chunk's entries encoded as singleton sweeps — so a shard has everything a
-stored result needs: a spec, a deterministic
-:meth:`~repro.experiments.ExperimentSpec.fingerprint` and the exact
-canonical evaluation order.  Non-grid strategies (random, pareto-refine,
+``max_entries_per_shard`` grid entries per cell (the contiguous,
+order-preserving :func:`repro.dse.engine.chunk_entries`).  Each shard is
+itself a complete, re-runnable :class:`~repro.experiments.ExperimentSpec`
+— one network, one device, the chunk's entries encoded as singleton
+sweeps — so a shard has everything a stored result needs: a spec, a
+deterministic :meth:`~repro.experiments.ExperimentSpec.fingerprint` and
+the exact canonical evaluation order.  Non-grid strategies (random, pareto-refine,
 custom) are adaptive and cannot be split without changing their search, so
 they run as a single whole-spec shard.
 
@@ -29,9 +28,8 @@ Shards execute on whichever claimant grabs them first:
 
 * **The local pool** — a ``ProcessPoolExecutor`` (``workers >= 2``) or a
   single background thread (``workers == 1``), evaluating through the
-  vectorized engine (:mod:`repro.dse.vectorized`, with the usual serial
-  fallback when numpy is missing).  ``workers == 0`` disables local
-  execution entirely: shards then run only on the fleet.
+  vectorized engine (:mod:`repro.dse.vectorized`).  ``workers == 0``
+  disables local execution entirely: shards then run only on the fleet.
 * **The pull-based worker fleet** — remote ``python -m repro worker``
   processes (:mod:`repro.worker`) that *lease* pending shards over HTTP
   (``POST /v1/leases``), execute them with the very same
@@ -269,17 +267,15 @@ def execute_shard(spec_payload: Dict[str, Any]) -> Dict[str, Any]:
     and returns plain dicts — the spec's ``to_dict`` form in, the result's
     versioned persistence payload out — so the boundary is cheap to pickle
     and start-method agnostic.  Grid shards evaluate through the
-    vectorized engine (serial fallback without numpy), which is
-    bit-identical to the scalar path; non-grid shards run the spec exactly
-    as the single-thread campaign endpoint used to.
+    vectorized engine, which is bit-identical to the scalar path; non-grid
+    shards run the spec exactly as the single-thread campaign endpoint
+    used to.
     """
-    from ..dse.vectorized import numpy_available
     from ..experiments.runner import run_experiment
 
     spec = ExperimentSpec.from_dict(spec_payload)
     if spec.strategy.name == "grid":
-        executor = ExecutorConfig(mode="vectorized" if numpy_available() else "serial")
-        result = run_experiment(spec, executor=executor)
+        result = run_experiment(spec, executor=ExecutorConfig(mode="vectorized"))
     else:
         result = run_experiment(spec)
     return result_to_dict(result)

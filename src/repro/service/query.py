@@ -27,13 +27,10 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..dse.campaign import metric_direction
 from .queryspec import DERIVED_METRICS, QuerySpec, resolve_metric
-
-try:  # NumPy is optional at import time: the reference engine is pure python.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-free installs
-    np = None  # type: ignore[assignment]
 
 __all__ = ["ColumnarEngine", "ReferenceEngine", "query_rows", "pareto_rows", "best_row"]
 

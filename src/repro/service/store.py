@@ -61,7 +61,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from ..dse.campaign import CampaignResult
 from ..experiments.persistence import RESULT_SCHEMA, result_from_dict, result_to_dict
 from ..experiments.spec import ExperimentSpec, canonical_json_hash
-from .query import ReferenceEngine, best_row, pareto_rows, query_rows
+from . import columnar as _columnar
+from .query import ColumnarEngine, ReferenceEngine, best_row, pareto_rows, query_rows
 from .queryspec import (
     BestResult,
     ParetoPage,
@@ -71,12 +72,6 @@ from .queryspec import (
     encode_cursor,
 )
 
-try:  # Columnar segments need NumPy; JSONL keeps working without it.
-    from . import columnar as _columnar
-    from .query import ColumnarEngine
-except ImportError:  # pragma: no cover - exercised only on numpy-free installs
-    _columnar = None  # type: ignore[assignment]
-    ColumnarEngine = None  # type: ignore[assignment,misc]
 
 __all__ = ["StoreRecord", "ResultStore", "result_key"]
 
@@ -184,7 +179,7 @@ class ResultStore:
 
     ``format`` picks the segment format new appends use (``"columnar"`` /
     ``"jsonl"``); when omitted it is auto-detected from the existing
-    segments (columnar wins for a fresh store when NumPy is available).
+    segments (a fresh store is columnar).
     Reads always understand both formats regardless.
     """
 
@@ -198,8 +193,6 @@ class ResultStore:
             raise ValueError("segment_max_records must be >= 1")
         if format not in (None, "columnar", "jsonl"):
             raise ValueError(f"unknown store format {format!r}")
-        if format == "columnar" and _columnar is None:
-            raise ValueError("columnar store format requires numpy")
         self.root = Path(root)
         self.segment_max_records = segment_max_records
         self._lock = threading.RLock()
@@ -233,7 +226,7 @@ class ResultStore:
             return "columnar"
         if any(self._segments_dir.glob("segment-*.jsonl")):
             return "jsonl"
-        return "columnar" if _columnar is not None else "jsonl"
+        return "columnar"
 
     def _segment_paths(self) -> List[Path]:
         paths = list(self._segments_dir.glob("segment-*.jsonl"))
@@ -258,10 +251,6 @@ class ResultStore:
     def _complete_record_count(self, path: Path) -> int:
         """Complete records in a segment (torn tails excluded), any format."""
         if path.suffix == ".col":
-            if _columnar is None:
-                raise ValueError(
-                    f"cannot read columnar segment {path.name!r} without numpy"
-                )
             return _columnar.complete_block_count(path)
         return self._complete_line_count(path.read_bytes())
 
@@ -999,8 +988,6 @@ class ResultStore:
         """
         if format not in ("columnar", "jsonl"):
             raise ValueError(f"unknown store format {format!r}")
-        if format == "columnar" and _columnar is None:
-            raise ValueError("columnar store format requires numpy")
         with self._lock:
             self.format = format
             stats: Dict[str, Any] = dict(self.compact())

@@ -5,7 +5,8 @@ define appears in the subcommand's section of the doc (so new flags
 cannot ship undocumented), and every ``--flag`` the doc names is accepted
 by the corresponding ``--help`` (so removed flags cannot linger). The
 ``--help`` text itself is the source of truth — the doc is parsed, the
-parser is introspected.
+parser is introspected.  Arguments restricted to ``choices`` are checked
+the same way, value by value, against their row of the flag table.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ DOC = Path(__file__).resolve().parents[2] / "docs" / "cli.md"
 SUBCOMMANDS = ("run", "report", "list", "serve", "worker", "migrate")
 
 FLAG = re.compile(r"`(--[a-z][a-z0-9-]*)`")
+VALUE = re.compile(r"`([^`]+)`")
+ROW = re.compile(r"^\|(?P<name>[^|]*)\|(?P<meaning>.*)\|\s*$", re.MULTILINE)
 
 
 def doc_sections() -> dict:
@@ -84,3 +87,69 @@ def test_help_output_mentions_every_documented_flag(subcommand):
         assert flag in help_text, (
             f"documented flag {flag} absent from 'python -m repro {subcommand} --help'"
         )
+
+
+def choice_arguments() -> list:
+    """``(subcommand, action)`` for every argument restricted to choices."""
+    return [
+        (subcommand, action)
+        for subcommand in SUBCOMMANDS
+        for action in subcommand_parser(subcommand)._actions
+        if action.choices is not None
+    ]
+
+
+def argument_names(action) -> set:
+    """The names a flag-table row uses for ``action`` (options or dest)."""
+    return set(action.option_strings) or {action.dest}
+
+
+def documented_values(subcommand: str, action) -> set:
+    """Backticked non-flag values in the meaning cell of ``action``'s row."""
+    for row in ROW.finditer(doc_sections()[subcommand]):
+        if set(VALUE.findall(row["name"])) & argument_names(action):
+            return {
+                value
+                for value in VALUE.findall(row["meaning"])
+                if not value.startswith("-")
+            }
+    raise AssertionError(
+        f"docs/cli.md '{subcommand}' has no table row for {sorted(argument_names(action))}"
+    )
+
+
+CHOICE_ARGUMENTS = [
+    pytest.param(subcommand, action, id=f"{subcommand}-{min(argument_names(action))}")
+    for subcommand, action in choice_arguments()
+]
+
+
+def test_choice_arguments_are_found():
+    found = {
+        (subcommand, name)
+        for subcommand, action in choice_arguments()
+        for name in argument_names(action)
+    }
+    assert {("run", "--executor"), ("migrate", "--format"), ("list", "what")} <= found
+
+
+@pytest.mark.parametrize("subcommand,action", CHOICE_ARGUMENTS)
+def test_every_choice_is_documented(subcommand, action):
+    missing = {str(choice) for choice in action.choices} - documented_values(
+        subcommand, action
+    )
+    assert not missing, (
+        f"choices of '{subcommand} {min(argument_names(action))}' missing "
+        f"from docs/cli.md: {sorted(missing)}"
+    )
+
+
+@pytest.mark.parametrize("subcommand,action", CHOICE_ARGUMENTS)
+def test_no_stale_documented_choices(subcommand, action):
+    stale = documented_values(subcommand, action) - {
+        str(choice) for choice in action.choices
+    }
+    assert not stale, (
+        f"docs/cli.md documents values '{subcommand} {min(argument_names(action))}' "
+        f"does not accept: {sorted(stale)}"
+    )

@@ -264,51 +264,56 @@ class TestIterExplore:
     def test_bad_executor_config(self):
         with pytest.raises(ValueError):
             ExecutorConfig(mode="threads")
-        with pytest.raises(ValueError):
-            ExecutorConfig(max_workers=0)
+        with pytest.raises(ValueError, match="unknown executor mode 'process'"):
+            ExecutorConfig(mode="process")
+        with pytest.raises(TypeError):
+            ExecutorConfig(max_workers=2)  # retired field
 
     def test_explore_defaults_to_serial_even_on_big_grids(self, monkeypatch, tiny_network):
-        """executor=None must never spawn a process pool — existing callers
-        (and the quickstarts) run at module level without a __main__ guard."""
-        import concurrent.futures
-        import repro.dse.engine as engine_mod
+        """executor=None must run the serial oracle however big the grid:
+        it is the library default existing callers rely on."""
+        import repro.dse.vectorized as vectorized_mod
         from repro.core.design_space import explore
+        from repro.dse.engine import MIN_GRID_FOR_VECTORIZED
 
         def bomb(*args, **kwargs):
-            raise AssertionError("process pool must not be used by default")
+            raise AssertionError("batch engine must not be used by default")
 
-        monkeypatch.setattr(engine_mod.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", bomb)
+        monkeypatch.setattr(vectorized_mod, "evaluate_cell_batch", bomb)
         spec = SweepSpec(
             m_values=(2, 3, 4),
             multiplier_budgets=(64, 128, 256),
             frequencies_mhz=tuple(float(f) for f in range(100, 300, 25)),
         )
-        assert spec.size >= ExecutorConfig().min_grid_for_processes
+        assert spec.size >= MIN_GRID_FOR_VECTORIZED
         points = explore(tiny_network, spec)
         assert len(points) > 0
         run = Campaign(networks=(tiny_network,), sweeps=(spec,)).run()
         assert run.feasible == len(points)
 
     def test_auto_mode_prefers_serial_for_explicit_cache(self, monkeypatch, tiny_network):
-        """A caller-supplied cache asks for isolation: auto mode must not
-        route the work to workers that can only use process-global caches."""
-        import concurrent.futures
-        import repro.dse.engine as engine_mod
+        """A caller-supplied cache asks for evaluation through it: auto mode
+        must not route the work to the batch engine, which memoises nothing."""
+        import repro.dse.vectorized as vectorized_mod
+        from repro.dse.engine import MIN_GRID_FOR_VECTORIZED
 
         def bomb(*args, **kwargs):
-            raise AssertionError("process pool must not be used")
+            raise AssertionError("batch engine must not be used")
 
-        monkeypatch.setattr(engine_mod.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", bomb)
-        config = ExecutorConfig(mode="auto", max_workers=4, min_grid_for_processes=1)
-        spec = SweepSpec(m_values=(2, 3), multiplier_budgets=(64,))
+        monkeypatch.setattr(vectorized_mod, "evaluate_cell_batch", bomb)
+        config = ExecutorConfig(mode="auto")
+        spec = SweepSpec(
+            m_values=(2, 3),
+            multiplier_budgets=(64, 128, 256, 512),
+            frequencies_mhz=(100.0, 150.0, 200.0, 250.0),
+        )
+        assert spec.size >= MIN_GRID_FOR_VECTORIZED
 
         cache = EvaluationCache()
         points = list(iter_explore(tiny_network, spec, cache=cache, executor=config))
-        assert len(points) == 2
-        assert cache.stats["points"].misses == 2  # the supplied cache was used
-        # Without an explicit cache the same config does pick the pool.
+        assert points
+        assert cache.stats["points"].misses == spec.size  # the supplied cache was used
+        # Without an explicit cache the same config does pick the batch engine.
         with pytest.raises(AssertionError, match="must not be used"):
             list(iter_explore(tiny_network, spec, executor=config))
 

@@ -9,8 +9,8 @@ on:
   non-dominated points, every excluded point is dominated by a front member,
   and the front is invariant under input permutation;
 * ``best_by`` agrees with the single-objective Pareto front;
-* cached vs uncached and parallel vs serial ``explore`` return identical
-  (byte-identical) design points.
+* cached vs uncached ``explore`` return identical (byte-identical) design
+  points (serial vs vectorized identity lives in ``test_vectorized.py``).
 """
 
 import pickle
@@ -22,7 +22,7 @@ from repro.core.design_point import DesignPoint
 from repro.core.design_space import SweepSpec, best_by, explore
 from repro.core.pareto import dominates, pareto_front
 from repro.core.throughput import LatencyReport
-from repro.dse import EvaluationCache, ExecutorConfig
+from repro.dse import EvaluationCache
 from repro.hw.resources import ResourceEstimate
 
 
@@ -175,35 +175,3 @@ class TestExploreEquivalence:
         second = explore(tiny_network, self.SPEC, cache=cache)
         assert first == second
         assert cache.stats["points"].hits >= len(first)
-
-    @pytest.mark.slow
-    @pytest.mark.campaign
-    def test_parallel_streaming_supports_early_abandon(self, tiny_network):
-        from repro.dse import iter_explore
-
-        stream = iter_explore(
-            tiny_network, self.SPEC, cache=EvaluationCache(),
-            executor=ExecutorConfig(mode="process", max_workers=2, chunk_size=2),
-        )
-        first = next(stream)
-        stream.close()  # cancels the un-started tail; must not raise or hang
-        assert first.m == 2
-
-    @pytest.mark.slow
-    @pytest.mark.campaign
-    def test_parallel_identical_to_serial(self, tiny_network):
-        serial = explore(
-            tiny_network, self.SPEC, cache=EvaluationCache(),
-            executor=ExecutorConfig(mode="serial"),
-        )
-        # Forcing the pool with an explicit cache warns that the cache
-        # cannot serve the workers — but results stay correct.
-        with pytest.warns(RuntimeWarning, match="cannot serve"):
-            parallel = explore(
-                tiny_network, self.SPEC, cache=EvaluationCache(),
-                executor=ExecutorConfig(mode="process", max_workers=2, chunk_size=5),
-            )
-        assert serial == parallel
-        assert [pickle.dumps(point) for point in serial] == [
-            pickle.dumps(point) for point in parallel
-        ]

@@ -22,6 +22,7 @@ from repro.dse import (
     evaluate_cell_batch,
     iter_explore,
 )
+from repro.dse.engine import MIN_GRID_FOR_VECTORIZED
 from repro.hw.calibration import DEFAULT_CALIBRATION
 from repro.hw.device import get_device
 from repro.nn import get_network
@@ -208,17 +209,21 @@ class TestAutoModeSelection:
     def test_forced_modes_win(self):
         assert ExecutorConfig(mode="serial").choose_mode(10**6) == "serial"
         assert ExecutorConfig(mode="vectorized").choose_mode(1) == "vectorized"
-        assert ExecutorConfig(mode="process").choose_mode(1) == "process"
+        # A forced mode also wins over the explicit-cache preference.
+        vectorized = ExecutorConfig(mode="vectorized")
+        assert vectorized.choose_mode(1, explicit_cache=True) == "vectorized"
+        with pytest.raises(ValueError, match="unknown executor mode"):
+            ExecutorConfig(mode="process")
 
     def test_auto_picks_vectorized_for_large_grids(self):
         config = ExecutorConfig(mode="auto")
-        assert config.choose_mode(config.min_grid_for_vectorized) == "vectorized"
+        assert config.choose_mode(MIN_GRID_FOR_VECTORIZED) == "vectorized"
         assert config.choose_mode(10**6) == "vectorized"
 
     def test_auto_stays_serial_below_thresholds(self):
         config = ExecutorConfig(mode="auto")
-        floor = min(config.min_grid_for_vectorized, config.min_grid_for_processes)
-        assert config.choose_mode(floor - 1) == "serial"
+        for total in (0, 1, MIN_GRID_FOR_VECTORIZED - 1):
+            assert config.choose_mode(total) == "serial"
 
     def test_auto_prefers_serial_for_explicit_cache(self):
         config = ExecutorConfig(mode="auto")
@@ -230,7 +235,7 @@ class TestAutoModeSelection:
             multiplier_budgets=(256, 512, 1024, 2048),
             frequencies_mhz=(150.0, 200.0, 250.0),
         )
-        assert spec.size >= config.min_grid_for_vectorized
+        assert spec.size >= MIN_GRID_FOR_VECTORIZED
         points = list(iter_explore("alexnet", spec, cache=cache, executor=config))
         assert points
         assert cache.stats["points"].misses == spec.size
@@ -251,7 +256,7 @@ class TestAutoModeSelection:
             multiplier_budgets=(256, 512, 1024, 2048),
             frequencies_mhz=(150.0, 200.0, 250.0),
         )
-        assert spec.size >= ExecutorConfig().min_grid_for_vectorized
+        assert spec.size >= MIN_GRID_FOR_VECTORIZED
         vectorized = list(
             iter_explore("alexnet", spec, cache=False, executor=ExecutorConfig(mode="auto"))
         )
@@ -259,28 +264,26 @@ class TestAutoModeSelection:
         serial = list(iter_explore("alexnet", spec, cache=False, executor=SERIAL))
         assert [pickle.dumps(p) for p in vectorized] == [pickle.dumps(p) for p in serial]
 
-    def test_forced_vectorized_without_numpy_degrades_to_serial(self, monkeypatch):
-        import repro.dse.vectorized as vectorized_mod
-
-        monkeypatch.setattr(vectorized_mod, "numpy_available", lambda: False)
-        config = ExecutorConfig(mode="vectorized")
-        with pytest.warns(RuntimeWarning, match="requires numpy"):
-            assert config.choose_mode(100) == "serial"
-        # auto quietly avoids the batch engine too.
-        assert ExecutorConfig(mode="auto").choose_mode(10**6, explicit_cache=True) == "serial"
-
     def test_executor_round_trips_through_spec_serialization(self):
         from repro.experiments.spec import executor_from_dict, executor_to_dict
 
-        config = ExecutorConfig(mode="vectorized", min_grid_for_vectorized=7)
-        assert executor_from_dict(executor_to_dict(config)) == config
-        # Older spec files without the new field still load.
+        for mode in ("auto", "serial", "vectorized"):
+            config = ExecutorConfig(mode=mode)
+            assert executor_to_dict(config) == {"mode": mode}
+            assert executor_from_dict(executor_to_dict(config)) == config
+        # Mappings earlier versions wrote still load: the retired sizing
+        # and threshold fields are dropped, "process" reads as "auto".
         legacy = {
             "mode": "serial",
             "max_workers": None,
             "chunk_size": None,
             "min_grid_for_processes": 64,
         }
-        assert executor_from_dict(legacy) == ExecutorConfig(
-            mode="serial", min_grid_for_processes=64
-        )
+        assert executor_from_dict(legacy) == ExecutorConfig(mode="serial")
+        assert executor_from_dict(
+            {"mode": "process", "max_workers": 2, "min_grid_for_vectorized": 7}
+        ) == ExecutorConfig(mode="auto")
+        with pytest.raises(ValueError, match="unknown executor mode"):
+            executor_from_dict({"mode": "gpu"})
+        with pytest.raises(ValueError, match="invalid executor config"):
+            executor_from_dict({"mode": "auto", "threads": 4})

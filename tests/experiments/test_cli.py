@@ -49,6 +49,12 @@ class TestRun:
         assert main(["run", str(spec_path), "--no-cache", "--executor", "serial"]) == 0
         assert "feasible=2" in capsys.readouterr().out
 
+    def test_retired_process_executor_is_an_unknown_choice(self, spec_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", str(spec_path), "--executor", "process"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+
     def test_missing_spec_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
         assert "error" in capsys.readouterr().err

@@ -14,9 +14,21 @@ import json
 import pytest
 
 from repro.core.design_space import SweepSpec
-from repro.dse import Campaign, CampaignResult
+from repro.dse import Campaign, CampaignResult, ExecutorConfig
 from repro.experiments import ExperimentSpec
 from repro.experiments.persistence import RESULT_SCHEMA, result_to_dict
+from repro.service import ResultStore
+from repro.service.store import result_key
+
+#: An executor mapping as earlier versions wrote it: the retired process
+#: pool, its sizing fields and the then-configurable auto thresholds.
+LEGACY_EXECUTOR = {
+    "mode": "process",
+    "max_workers": 2,
+    "chunk_size": 5,
+    "min_grid_for_processes": 64,
+    "min_grid_for_vectorized": 32,
+}
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +121,50 @@ class TestSpecFingerprint:
         assert isinstance(fingerprint, str)
         assert len(fingerprint) == 64
         assert set(fingerprint) <= set("0123456789abcdef")
+
+
+class TestLegacyExecutorPayloads:
+    """Spec files and stored results written with a retired executor
+    mapping still load, under the same fingerprint and content key."""
+
+    SPEC = ExperimentSpec(
+        networks=("alexnet",),
+        sweeps=(SweepSpec(m_values=(2, 3), multiplier_budgets=(256,)),),
+        name="legacy",
+    )
+
+    def test_spec_file_loads_with_same_fingerprint(self, tmp_path):
+        data = self.SPEC.to_dict()
+        data["executor"] = dict(LEGACY_EXECUTOR)
+        path = tmp_path / "legacy-spec.json"
+        path.write_text(json.dumps(data))
+        loaded = ExperimentSpec.load(path)
+        assert loaded.executor == ExecutorConfig(mode="auto")
+        assert loaded.fingerprint() == self.SPEC.fingerprint()
+
+        data["executor"] = {"mode": "gpu"}
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="unknown executor mode 'gpu'"):
+            ExperimentSpec.load(path)
+
+    def test_stored_result_loads_with_same_key(self, saved, tmp_path):
+        payload = json.loads(saved.read_text())
+        legacy = json.loads(saved.read_text())
+        legacy["spec"]["executor"] = dict(LEGACY_EXECUTOR)
+        assert result_key(legacy) == result_key(payload)
+
+        store = ResultStore(tmp_path / "store")
+        key = store.put_payload(legacy)
+        assert key == result_key(payload)
+        loaded = store.get(key)
+        reference = CampaignResult.load(saved)
+        assert loaded.spec.executor == ExecutorConfig(mode="auto")
+        assert loaded.spec.fingerprint() == reference.spec.fingerprint()
+        assert store.record(key).fingerprint == reference.spec.fingerprint()
+        assert loaded.points == reference.points
+
+        bad = json.loads(saved.read_text())
+        bad["spec"]["executor"] = {"mode": "gpu"}
+        bad_store = ResultStore(tmp_path / "bad-store")
+        with pytest.raises(ValueError, match="unknown executor mode 'gpu'"):
+            bad_store.get(bad_store.put_payload(bad))

@@ -29,7 +29,7 @@ FULL_SPEC = ExperimentSpec(
         resources=ResourceCalibration(luts_per_transform_add=31.5),
         power=PowerCalibration(static_watts=1.25),
     ),
-    executor=ExecutorConfig(mode="serial", max_workers=2),
+    executor=ExecutorConfig(mode="serial"),
     cache=False,
 )
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 import asyncio
 import threading
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.core.design_space import SweepSpec
 from repro.dse import EXCEEDS_ERROR_BUDGET, ExecutorConfig, iter_explore

@@ -14,6 +14,8 @@ unknown job ids 404 cleanly over HTTP.
 from __future__ import annotations
 
 import asyncio
+import http.client
+import json
 import pickle
 import threading
 
@@ -407,6 +409,41 @@ class TestJobHttpApi:
         with pytest.raises(ServiceError) as excinfo:
             client._request("POST", "/v1/jobs", {"spec": {"nope": True}})
         assert excinfo.value.status == 400
+
+    def test_legacy_executor_body_is_accepted_under_same_keys(self, service):
+        # A spec body with an executor mapping earlier versions wrote: the
+        # retired process pool and its sizing fields load as mode "auto".
+        server, client, _ = service
+        modern = client.wait_for_job(client.submit_job(SPEC)["id"], timeout=240)
+        spec_data = SPEC.to_dict()
+        spec_data["executor"] = {
+            "mode": "process",
+            "max_workers": 2,
+            "chunk_size": 5,
+            "min_grid_for_processes": 64,
+            "min_grid_for_vectorized": 32,
+        }
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            connection.request(
+                "POST", "/v1/jobs", body=json.dumps({"spec": spec_data}),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            status, payload = response.status, json.loads(response.read())
+        finally:
+            connection.close()
+        assert status == 202
+        assert payload["job"]["fingerprint"] == SPEC.fingerprint()
+        final = client.wait_for_job(payload["job"]["id"], timeout=240)
+        assert final["state"] == "completed"
+        assert final["key"] == modern["key"]
+
+        spec_data["executor"] = {"mode": "gpu"}
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/v1/jobs", {"spec": spec_data})
+        assert excinfo.value.status == 400
+        assert "unknown executor mode 'gpu'" in excinfo.value.message
 
     def test_jobs_listing_includes_submissions(self, service):
         _, client, _ = service

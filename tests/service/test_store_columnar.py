@@ -13,9 +13,8 @@ import copy
 import json
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.core.design_space import SweepSpec
 from repro.experiments import ExperimentSpec, run_experiment
