@@ -23,10 +23,9 @@ Subcommands
     executes them and pushes the results back, exiting gracefully on
     ``SIGTERM`` after finishing its in-flight shards.
 ``migrate``
-    Rewrite a result store's segments into another on-disk format
-    (``--format columnar`` by default, ``--format jsonl`` to go back),
-    compacting away dead records along the way.  Safe to run offline on
-    a store a server later reopens.
+    Open a result store, importing any legacy JSONL segments into the
+    columnar format, and compact away dead records.  Safe to run offline
+    on a store a server later reopens.
 
 The full flag reference lives in ``docs/cli.md`` (a test keeps it in sync
 with the parsers' ``--help`` output).
@@ -40,7 +39,7 @@ Examples
     python -m repro list strategies
     python -m repro serve --store .repro-store --port 8787
     python -m repro worker --server http://127.0.0.1:8787 --concurrency 2
-    python -m repro migrate --store .repro-store --format columnar
+    python -m repro migrate --store .repro-store
 """
 
 from __future__ import annotations
@@ -242,18 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     migrate_parser = commands.add_parser(
-        "migrate", help="rewrite a result store's segments into another format"
+        "migrate", help="import legacy JSONL segments and compact a result store"
     )
     migrate_parser.add_argument(
         "--store",
         default=".repro-store",
         help="result-store directory to migrate in place (default: .repro-store)",
-    )
-    migrate_parser.add_argument(
-        "--format",
-        choices=("columnar", "jsonl"),
-        default="columnar",
-        help="target segment format (default: columnar)",
     )
     migrate_parser.add_argument(
         "-q", "--quiet", action="store_true", help="suppress the migration summary"
@@ -371,11 +364,11 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 def _cmd_migrate(args: argparse.Namespace) -> int:
     from ..service.store import ResultStore  # deferred: keep plain CLI imports light
 
-    store = ResultStore(args.store)
-    stats = store.migrate(format=args.format)
+    store = ResultStore(args.store)  # opening imports legacy JSONL segments
+    stats = store.compact()
     if not args.quiet:
         print(
-            f"store {args.store!r} migrated to {stats['format']}: "
+            f"store {args.store!r} compacted: "
             f"kept {stats['kept']} result(s), dropped {stats['dropped']}"
         )
     return 0

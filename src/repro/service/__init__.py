@@ -6,10 +6,10 @@ design-point questions into micro-batched vectorized evaluations:
 
 * :mod:`repro.service.store` — :class:`ResultStore`, an append-only,
   content-addressed store of campaign results (binary columnar segments
-  memory-mapped for zero-copy vectorized queries, with JSONL retained as
-  an import/migration path, plus a rebuildable index keyed by spec
+  memory-mapped for zero-copy vectorized queries, legacy JSONL segments
+  imported once on open, plus a rebuildable index keyed by spec
   fingerprint, network and device) with ``put``/``get``/``query``/
-  ``pareto``/``best``/``latest``, compaction and ``migrate``;
+  ``pareto``/``best``/``latest`` and compaction;
 * :mod:`repro.service.queryspec` — :class:`QuerySpec`, the frozen
   JSON-round-trippable description of a read (result selection, ``where``
   filters, sort, ``select`` projection, top-k, ``limit``/``cursor``

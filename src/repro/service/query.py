@@ -8,9 +8,9 @@ with **identical rows, ordering and errors**:
   stable NumPy argsorts, chunked Pareto domination masks.  Rows are
   materialized only for the final returned page.
 * :class:`ReferenceEngine` — the plain-Python reference over a decoded
-  result payload, used for legacy JSONL segments and opaque columnar
-  blocks — and as the oracle the equivalence tests hold the columnar
-  path to.
+  result payload.  It serves opaque columnar blocks (payloads the strict
+  column encoder cannot represent) and is the oracle the equivalence
+  tests hold :class:`ColumnarEngine` to.
 
 Semantics are the legacy server's, preserved exactly: filters are
 equality over ``workload_name``/``device_name`` plus ``where`` clauses;

@@ -370,12 +370,8 @@ class ResultServer:
         )
         registry.gauge(
             "repro_store_segments",
-            "Live on-disk segments, by format.",
-            ("format",),
-            callback=lambda: {
-                (fmt,): count
-                for fmt, count in self.store.stats()["segments_by_format"].items()
-            },
+            "Live on-disk segments.",
+            callback=lambda: self.store.stats()["segments"],
         )
         registry.gauge(
             "repro_store_segment_bytes",

@@ -12,22 +12,21 @@ the evaluation engine.
 Layout on disk::
 
     <root>/
-      segments/segment-000001.col     # binary columnar blocks (default)
-      segments/segment-000002.jsonl   # legacy JSONL envelopes (import path)
+      segments/segment-000001.col     # binary columnar blocks
       segments/.trash/                # compacted-away segments pending unlink
       index.json                      # metadata by key; rebuildable
 
-Two segment formats share one numbering sequence:
+Each stored result is one binary block of NumPy-structured design-point
+columns (:mod:`.columnar`), memory-mapped on read so
+``query``/``pareto``/``best`` run as zero-copy vectorized column scans
+and only the returned page of rows is ever materialized.  Results the
+strict column encoder cannot represent are kept as *opaque* blocks (the
+payload's JSON) and served by the :class:`~.query.ReferenceEngine`.
 
-* **columnar** (``.col``, the default) — each stored result is one binary
-  block of NumPy-structured design-point columns (:mod:`.columnar`),
-  memory-mapped on read so ``query``/``pareto``/``best`` run as zero-copy
-  vectorized column scans and only the returned page of rows is ever
-  materialized.
-* **jsonl** (``.jsonl``) — the original one-envelope-per-line text format,
-  retained as an import/migration path; :meth:`ResultStore.migrate`
-  rewrites a store between formats in one pass and reads understand both
-  forever.
+Legacy ``segment-NNNNNN.jsonl`` segments (one JSON envelope per line,
+the pre-columnar format) are never written or served: opening a store
+that holds any imports them once, by compacting every record into
+columnar blocks with bit-identical keys and payloads.
 
 Properties:
 
@@ -37,7 +36,7 @@ Properties:
   existing key, so re-submitting a campaign never duplicates storage.
 * **Append-only** — segments are only ever appended to (and atomically
   rewritten by :meth:`ResultStore.compact`); a crash mid-append loses at
-  most the trailing partial line/block, which the loader skips.
+  most the trailing partial block, which the loader skips.
 * **Self-healing index** — ``index.json`` is a cache; when missing, stale
   or corrupt it is rebuilt by scanning the segments.
 * **Reader-safe compaction** — compaction never truncates a segment in
@@ -75,12 +74,12 @@ from .queryspec import (
 
 __all__ = ["StoreRecord", "ResultStore", "result_key"]
 
-#: Versioned schema tags for the segment envelopes and the index cache.
+#: Versioned schema tags for legacy JSONL envelopes and the index cache.
 ENVELOPE_SCHEMA = "repro.result-store/1"
 INDEX_SCHEMA = "repro.result-store-index/1"
 
 #: How many per-result query engines (memory-mapped columnar blocks or
-#: decoded reference payloads) the store keeps warm.
+#: decoded opaque payloads) the store keeps warm.
 ENGINE_CACHE_SIZE = 16
 
 
@@ -117,7 +116,7 @@ def result_key(payload: Dict[str, Any]) -> str:
 class StoreRecord:
     """Index metadata of one stored result (no point payload).
 
-    ``segment``/``offset`` locate the envelope/block on disk, so a read is
+    ``segment``/``offset`` locate the block on disk, so a read is
     one seek instead of a segment scan; ``offset`` is ``-1`` for records
     whose position is unknown (falls back to scanning).
     """
@@ -177,22 +176,13 @@ class ResultStore:
     held in memory — so the store's footprint is independent of how many
     points the stored campaigns contain.
 
-    ``format`` picks the segment format new appends use (``"columnar"`` /
-    ``"jsonl"``); when omitted it is auto-detected from the existing
-    segments (a fresh store is columnar).
-    Reads always understand both formats regardless.
+    Opening a store that still holds legacy JSONL segments imports them
+    (:meth:`compact`) before anything is served.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        segment_max_records: int = 64,
-        format: Optional[str] = None,
-    ) -> None:
+    def __init__(self, root: Union[str, Path], segment_max_records: int = 64) -> None:
         if segment_max_records < 1:
             raise ValueError("segment_max_records must be >= 1")
-        if format not in (None, "columnar", "jsonl"):
-            raise ValueError(f"unknown store format {format!r}")
         self.root = Path(root)
         self.segment_max_records = segment_max_records
         self._lock = threading.RLock()
@@ -202,10 +192,9 @@ class ResultStore:
         self._trash_dir = self._segments_dir / ".trash"
         self._index_path = self.root / "index.json"
         self._segments_dir.mkdir(parents=True, exist_ok=True)
-        self.format = format if format is not None else self._detect_format()
         # Per-result query engines, LRU by content key.  An engine owns a
-        # memory-mapped columnar block (or a decoded payload for JSONL /
-        # opaque blocks); entries are validated against the index row and
+        # memory-mapped columnar block (or the decoded payload of an
+        # opaque block); entries are validated against the index row and
         # dropped wholesale on compact/rebuild.
         self._engines: "OrderedDict[str, Tuple[str, int, Any]]" = OrderedDict()
         # Append cursor: the active segment, its record count and whether
@@ -215,19 +204,15 @@ class ResultStore:
         self._active_count = 0
         self._active_tail_clean = True
         self._drain_trash()
-        self._load_index()
-        self._reset_append_cursor()
+        if any(path.suffix == ".jsonl" for path in self._segment_paths()):
+            self.compact()  # one-time import of legacy JSONL segments
+        else:
+            self._load_index()
+            self._reset_append_cursor()
 
     # ------------------------------------------------------------------ #
     # Loading / index maintenance
     # ------------------------------------------------------------------ #
-    def _detect_format(self) -> str:
-        if any(self._segments_dir.glob("segment-*.col")):
-            return "columnar"
-        if any(self._segments_dir.glob("segment-*.jsonl")):
-            return "jsonl"
-        return "columnar"
-
     def _segment_paths(self) -> List[Path]:
         paths = list(self._segments_dir.glob("segment-*.jsonl"))
         paths.extend(self._segments_dir.glob("segment-*.col"))
@@ -247,12 +232,6 @@ class ResultStore:
                 path.unlink()
             except OSError:  # still mapped by a reader (e.g. Windows)
                 pass
-
-    def _complete_record_count(self, path: Path) -> int:
-        """Complete records in a segment (torn tails excluded), any format."""
-        if path.suffix == ".col":
-            return _columnar.complete_block_count(path)
-        return self._complete_line_count(path.read_bytes())
 
     def _load_index(self) -> None:
         """Load ``index.json``, falling back to a full segment scan.
@@ -285,7 +264,7 @@ class ResultStore:
                 # mid-append is not yet a record, so it must not
                 # invalidate the index on every subsequent open.
                 disk_per_segment = {
-                    path.name: self._complete_record_count(path)
+                    path.name: _columnar.complete_block_count(path)
                     for path in self._segment_paths()
                 }
                 if indexed_per_segment != disk_per_segment:
@@ -299,10 +278,10 @@ class ResultStore:
 
     @staticmethod
     def _scan_segment(path: Path):
-        """Yield ``(offset, envelope)`` for every parseable line of a JSONL segment.
+        """Yield ``(offset, envelope)`` for every parseable line of a legacy JSONL segment.
 
         Torn trailing lines (crash mid-append) and foreign content are
-        skipped.
+        skipped.  Only the import (:meth:`compact`) reads these segments.
         """
         data = path.read_bytes()
         offset = 0
@@ -371,11 +350,6 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     # Writes
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _complete_line_count(data: bytes) -> int:
-        """Non-blank, newline-terminated lines (a torn tail is excluded)."""
-        return sum(1 for line in data.split(b"\n")[:-1] if line.strip())
-
     def _reset_append_cursor(self) -> None:
         """Re-derive the append cursor from disk (open / rebuild / compact)."""
         paths = self._segment_paths()
@@ -386,30 +360,21 @@ class ResultStore:
             return
         last = paths[-1]
         self._active_segment = last
-        if last.suffix == ".col":
-            count, end = _columnar.segment_extent(last)
-            self._active_count = count
-            self._active_tail_clean = end == last.stat().st_size
-        else:
-            data = last.read_bytes()
-            self._active_count = self._complete_line_count(data)
-            self._active_tail_clean = (not data) or data.endswith(b"\n")
-
-    def _segment_suffix(self) -> str:
-        return ".col" if self.format == "columnar" else ".jsonl"
+        count, end = _columnar.segment_extent(last)
+        self._active_count = count
+        self._active_tail_clean = end == last.stat().st_size
 
     def _append_segment(self) -> Path:
         """The segment new records append to.
 
-        Rolls over to a fresh segment when the active one is full, is in
-        the other format, or has a torn tail (a crash mid-append left
-        trailing garbage): appending there would merge the new record
-        into the torn bytes and lose it to the next rescan, so the torn
-        segment is left as-is for compact() to clean up.
+        Rolls over to a fresh segment when the active one is full or has
+        a torn tail (a crash mid-append left trailing garbage): appending
+        there would merge the new record into the torn bytes and lose it
+        to the next rescan, so the torn segment is left as-is for
+        compact() to clean up.
         """
         if (
             self._active_segment is not None
-            and self._active_segment.suffix == self._segment_suffix()
             and self._active_count < self.segment_max_records
             and self._active_tail_clean
         ):
@@ -418,9 +383,7 @@ class ResultStore:
             number = int(self._active_segment.stem.split("-")[1]) + 1
         else:
             number = 1
-        self._active_segment = (
-            self._segments_dir / f"segment-{number:06d}{self._segment_suffix()}"
-        )
+        self._active_segment = self._segments_dir / f"segment-{number:06d}.col"
         self._active_count = 0
         self._active_tail_clean = True
         return self._active_segment
@@ -489,11 +452,7 @@ class ResultStore:
                 for k, v in record.to_dict().items()
                 if k not in ("segment", "offset")
             }
-            if segment.suffix == ".col":
-                blob = _columnar.encode_block(meta, payload)
-            else:
-                envelope = {"schema": ENVELOPE_SCHEMA, "meta": meta, "result": payload}
-                blob = (json.dumps(envelope, separators=(",", ":")) + "\n").encode()
+            blob = _columnar.encode_block(meta, payload)
             # Binary mode: tell() must be a true byte offset for get()'s seek.
             with segment.open("ab") as handle:
                 offset = handle.tell()
@@ -528,10 +487,8 @@ class ResultStore:
         """
         with self._lock:
             paths = self._segment_paths()
-            by_format = {"columnar": 0, "jsonl": 0}
             total_bytes = 0
             for path in paths:
-                by_format["columnar" if path.suffix == ".col" else "jsonl"] += 1
                 try:
                     total_bytes += path.stat().st_size
                 except OSError:
@@ -540,8 +497,6 @@ class ResultStore:
                 "results": len(self._records),
                 "segments": len(paths),
                 "segment_bytes": total_bytes,
-                "segments_by_format": by_format,
-                "format": self.format,
             }
 
     def record(self, key: str) -> StoreRecord:
@@ -581,31 +536,17 @@ class ResultStore:
         scan when the offset is unknown or stale).
         """
         with self._lock:
-            record = self._records[key]
-            path = self._segments_dir / record.segment
-            if path.suffix == ".col":
-                block = self._block_at(path, record.offset, key)
-                if block is not None:
-                    return block.payload()
-            else:
-                if record.offset >= 0:
-                    with path.open("rb") as handle:
-                        handle.seek(record.offset)
-                        line = handle.readline()
-                    try:
-                        envelope = json.loads(line)
-                    except json.JSONDecodeError:
-                        envelope = None
-                    if (
-                        isinstance(envelope, dict)
-                        and envelope.get("meta", {}).get("key") == key
-                    ):
-                        return envelope["result"]
-                # Fallback: offset unknown/stale — scan the segment.
-                for _, envelope in self._scan_segment(path):
-                    if envelope.get("meta", {}).get("key") == key:
-                        return envelope["result"]
-        raise KeyError(f"stored result {key!r} vanished from segment {record.segment!r}")
+            return self._block(key).payload()
+
+    def _block(self, key: str):
+        """The stored block of ``key``; raises ``KeyError`` when it is gone."""
+        record = self._records[key]
+        block = self._block_at(self._segments_dir / record.segment, record.offset, key)
+        if block is None:
+            raise KeyError(
+                f"stored result {key!r} vanished from segment {record.segment!r}"
+            )
+        return block
 
     # ------------------------------------------------------------------ #
     # Spec-driven reads (the unified query surface)
@@ -613,9 +554,9 @@ class ResultStore:
     def _engine_for(self, key: str):
         """The query engine for one stored result (LRU-cached).
 
-        Columnar blocks get the zero-copy :class:`ColumnarEngine`; JSONL
-        envelopes and opaque blocks get the :class:`ReferenceEngine` over
-        the decoded payload.  Both answer queries identically.
+        Columnar blocks get the zero-copy :class:`ColumnarEngine`; opaque
+        blocks get the :class:`ReferenceEngine` over the decoded payload.
+        Both answer queries identically.
         """
         record = self._records[key]
         cached = self._engines.get(key)
@@ -625,20 +566,8 @@ class ResultStore:
                 self._engines.move_to_end(key)
                 return engine
             del self._engines[key]
-        path = self._segments_dir / record.segment
-        engine = None
-        if path.suffix == ".col":
-            block = self._block_at(path, record.offset, key)
-            if block is None:
-                raise KeyError(
-                    f"stored result {key!r} vanished from segment {record.segment!r}"
-                )
-            if not block.opaque:
-                engine = ColumnarEngine(block)
-            else:
-                engine = ReferenceEngine(block.payload())
-        if engine is None:
-            engine = ReferenceEngine(self.get_payload(key))
+        block = self._block(key)
+        engine = ReferenceEngine(block.payload()) if block.opaque else ColumnarEngine(block)
         self._engines[key] = (record.segment, record.offset, engine)
         while len(self._engines) > ENGINE_CACHE_SIZE:
             self._engines.popitem(last=False)
@@ -696,7 +625,7 @@ class ResultStore:
 
         Row semantics (filter by ``network``/``device``/``where``, stable
         sort by ``metric``/``maximize``, ``top_k`` cap, ``select``
-        projection) are identical on columnar and JSONL storage; ``limit``
+        projection) are identical for columnar and opaque blocks; ``limit``
         and ``cursor`` paginate the ordered row set and ``next_cursor``
         continues it, stable across concurrent appends and compactions.
         """
@@ -759,15 +688,7 @@ class ResultStore:
     def _default_objectives(self, key: str):
         """The stored spec's campaign objectives (no point materialization)."""
         with self._lock:
-            record = self._records[key]
-            path = self._segments_dir / record.segment
-            spec_data = None
-            if path.suffix == ".col":
-                block = self._block_at(path, record.offset, key)
-                if block is not None:
-                    spec_data = block.result_extra.get("spec")
-            if spec_data is None:
-                spec_data = self.get_payload(key).get("spec")
+            spec_data = self._block(key).result_extra.get("spec")
         return ExperimentSpec.from_dict(spec_data).to_campaign().objectives
 
     def pareto(self, spec: QuerySpec) -> ParetoPage:
@@ -896,30 +817,29 @@ class ResultStore:
         ordered = sorted(by_key.values(), key=lambda source: source[0]["sequence"])
         return ordered, dropped
 
-    def _source_blob(self, meta: dict, locator) -> bytes:
-        """Re-encode one gathered source in the store's current format."""
-        if self.format == "columnar":
-            if isinstance(locator, tuple):
-                # Columnar block staying columnar: copy the bytes verbatim
-                # (the block is position-independent), no re-encode.
-                return _columnar.read_block_bytes(*locator)
-            return _columnar.encode_block(meta, locator)
+    @staticmethod
+    def _source_blob(meta: dict, locator) -> bytes:
+        """The columnar block bytes of one gathered source."""
         if isinstance(locator, tuple):
-            payload = _columnar.ColumnarBlock.read_at(*locator).payload()
-        else:
-            payload = locator
-        envelope = {"schema": ENVELOPE_SCHEMA, "meta": meta, "result": payload}
-        return (json.dumps(envelope, separators=(",", ":")) + "\n").encode()
+            # A columnar block: copy the bytes verbatim (blocks are
+            # position-independent), no re-encode.
+            return _columnar.read_block_bytes(*locator)
+        # A legacy JSONL envelope's payload: the import encodes it.
+        return _columnar.encode_block(meta, locator)
 
     def compact(self) -> Dict[str, int]:
         """Rewrite the segments keeping only live records.
 
         Re-scans the segments first (so records a crashed ``put`` left
         un-indexed are recovered, never dropped), keeps the newest record
-        per key, drops superseded duplicates and torn tails, renumbers
-        segments from 1 — in the store's *current* format, so compacting
-        after :meth:`migrate` converts legacy JSONL segments — and
-        rewrites the index.  Returns ``{"kept": n, "dropped": m}``.
+        per key, drops superseded duplicates, torn tails and foreign
+        lines, renumbers segments from 1 and rewrites the index.  Returns
+        ``{"kept": n, "dropped": m}``.
+
+        This is also the one-time import of legacy JSONL segments (run by
+        the constructor): their envelopes are re-encoded as columnar
+        blocks with bit-identical keys and payloads, and every ``.jsonl``
+        file is retired like any other replaced segment.
 
         Safe on a live store, including while readers hold memory-mapped
         blocks: new segments are written to the side and promoted with
@@ -937,12 +857,13 @@ class ResultStore:
             ordered, dropped = self._gather_sources()
 
             old_paths = self._segment_paths()
-            suffix = self._segment_suffix()
+            for stale in self._segments_dir.glob("*.compact"):
+                stale.unlink()  # left behind by a compaction that crashed
             new_records: Dict[str, StoreRecord] = {}
             written: List[Path] = []
             for start in range(0, len(ordered), self.segment_max_records):
                 number = len(written) + 1
-                path = self._segments_dir / f"segment-{number:06d}{suffix}.compact"
+                path = self._segments_dir / f"segment-{number:06d}.col.compact"
                 with path.open("wb") as handle:
                     for meta, locator in ordered[start : start + self.segment_max_records]:
                         offset = handle.tell()
@@ -976,26 +897,7 @@ class ResultStore:
             self._reset_append_cursor()
             return {"kept": len(new_records), "dropped": dropped}
 
-    def migrate(self, format: str = "columnar") -> Dict[str, Any]:
-        """Rewrite every segment into ``format`` (default: columnar).
-
-        The JSONL→columnar import path: flips the store's append format
-        and compacts, which re-encodes all segments.  Payloads round-trip
-        bit-identically (strictly-encoded columns, or opaque JSON bodies
-        for points the strict encoder cannot represent).  Migrating to
-        the current format is a plain compact.  Returns the compaction
-        stats plus the target format.
-        """
-        if format not in ("columnar", "jsonl"):
-            raise ValueError(f"unknown store format {format!r}")
-        with self._lock:
-            self.format = format
-            stats: Dict[str, Any] = dict(self.compact())
-            stats["format"] = format
-            return stats
-
     def __repr__(self) -> str:
         return (
-            f"ResultStore(root={str(self.root)!r}, results={len(self)}, "
-            f"format={self.format!r})"
+            f"ResultStore(root={str(self.root)!r}, results={len(self)})"
         )

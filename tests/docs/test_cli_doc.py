@@ -130,7 +130,7 @@ def test_choice_arguments_are_found():
         for subcommand, action in choice_arguments()
         for name in argument_names(action)
     }
-    assert {("run", "--executor"), ("migrate", "--format"), ("list", "what")} <= found
+    assert {("run", "--executor"), ("list", "what")} <= found
 
 
 @pytest.mark.parametrize("subcommand,action", CHOICE_ARGUMENTS)

@@ -127,6 +127,12 @@ class TestMetricsEndpoint:
             "repro_uptime_seconds",
         ):
             assert f"# TYPE {family.removesuffix('_bucket')}" in text, family
+        # Every segment is columnar, so the segment gauge is unlabelled.
+        segment_lines = [
+            line for line in text.splitlines() if line.startswith("repro_store_segments")
+        ]
+        assert len(segment_lines) == 1
+        assert segment_lines[0].split()[0] == "repro_store_segments"
         # Per-route request counting with status labels, non-zero.
         assert 'route="/health"' in text
         assert 'repro_http_request_seconds_count{route="/v1/evaluate"} 1' in text

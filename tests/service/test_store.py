@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-import json
 import pickle
+import shutil
 
 import pytest
 
 from repro.core.design_space import SweepSpec
 from repro.experiments import ExperimentSpec, run_experiment
+from repro.experiments.persistence import result_to_dict
 from repro.service import ResultStore
-from repro.service.store import ENVELOPE_SCHEMA
+from repro.service import columnar
 
 
 def tiny_spec(name: str = "tiny", networks=("vgg16-d",), devices=("xc7vx485t",)) -> ExperimentSpec:
@@ -53,19 +54,20 @@ class TestPutGet:
         assert loaded.spec == result.spec
         assert loaded.evaluations == result.evaluations
 
-    def test_content_addressing_dedups(self, tmp_path, result):
-        store = ResultStore(tmp_path, format="jsonl")
-        key = store.put(result)
+    def test_content_addressing_dedups(self, tmp_path, result, legacy_line):
+        # A result imported from a legacy segment keeps its key, so
+        # re-putting it is a no-op too.
+        (tmp_path / "segments").mkdir()
+        (tmp_path / "segments" / "segment-000001.jsonl").write_text(
+            legacy_line(result_to_dict(result), sequence=1)
+        )
+        store = ResultStore(tmp_path)
+        key = store.keys()[0]
+        assert store.put(result) == key
         assert store.put(result) == key
         assert len(store) == 1
-        segments = list((tmp_path / "segments").glob("*.jsonl"))
-        lines = [
-            line
-            for path in segments
-            for line in path.read_text().splitlines()
-            if line.strip()
-        ]
-        assert len(lines) == 1
+        segments = list((tmp_path / "segments").glob("segment-*"))
+        assert sum(columnar.complete_block_count(path) for path in segments) == 1
 
     def test_rerun_of_same_spec_dedups(self, tmp_path, result):
         # A fresh evaluation of the same spec differs only in run
@@ -109,13 +111,20 @@ class TestPutGet:
         with pytest.raises(KeyError):
             store.get("no-such-key")
 
-    def test_envelope_schema_tag(self, tmp_path, result):
-        store = ResultStore(tmp_path, format="jsonl")
-        store.put(result)
-        segment = next((tmp_path / "segments").glob("*.jsonl"))
-        envelope = json.loads(segment.read_text().splitlines()[0])
-        assert envelope["schema"] == ENVELOPE_SCHEMA
-        assert envelope["meta"]["fingerprint"] == result.spec.fingerprint()
+    def test_envelope_schema_tag(self, tmp_path, result, legacy_line):
+        # Only lines tagged with the envelope schema are imported.
+        line = legacy_line(result_to_dict(result), sequence=1)
+        (tmp_path / "segments").mkdir()
+        (tmp_path / "segments" / "segment-000001.jsonl").write_text(
+            line.replace('"repro.result-store/1"', '"repro.result-store/0"') + line
+        )
+        store = ResultStore(tmp_path)
+        assert len(store) == 1
+        segment = next((tmp_path / "segments").glob("segment-*"))
+        assert segment.suffix == ".col"
+        [(_, header)] = list(columnar.iter_blocks(segment))
+        assert header["schema"] == columnar.COLUMNAR_SCHEMA
+        assert header["meta"]["fingerprint"] == result.spec.fingerprint()
 
 
 class TestQuery:
@@ -179,61 +188,54 @@ class TestIndexSelfHealing:
         assert stats["kept"] == 2
         assert sorted(reopened.keys()) == sorted([first, second])
 
-    def test_torn_segment_line_skipped(self, tmp_path, result, other_result):
-        store = ResultStore(tmp_path, format="jsonl")
-        first = store.put(result)
-        # Simulate a crash mid-append: a truncated JSON line at the tail.
-        segment = next((tmp_path / "segments").glob("*.jsonl"))
-        with segment.open("a") as handle:
-            handle.write('{"schema": "repro.result-store/1", "meta": {"key": "torn')
-        (tmp_path / "index.json").unlink()
+    def test_torn_segment_line_skipped(self, tmp_path, result, other_result, legacy_line):
+        # A legacy segment a crash tore mid-append: a truncated JSON line
+        # at the tail, which the import skips.
+        (tmp_path / "segments").mkdir()
+        (tmp_path / "segments" / "segment-000001.jsonl").write_text(
+            legacy_line(result_to_dict(result), sequence=1)
+            + '{"schema": "repro.result-store/1", "meta": {"key": "torn'
+        )
         reopened = ResultStore(tmp_path)
-        assert reopened.keys() == [first]
+        first = reopened.keys()[0]
+        assert len(reopened) == 1
+        assert not list((tmp_path / "segments").glob("*.jsonl"))
         assert reopened.put(other_result) != first
         assert len(reopened) == 2
 
-    def test_append_after_torn_tail_is_not_lost(self, tmp_path, result, other_result):
-        """A put onto a segment with a torn (newline-less) tail must start
-        a fresh line — otherwise the new envelope merges into the torn one
-        and a later rebuild permanently drops it."""
-        store = ResultStore(tmp_path, format="jsonl")
-        first = store.put(result)
-        segment = next((tmp_path / "segments").glob("*.jsonl"))
-        with segment.open("a") as handle:
-            handle.write('{"torn": tr')  # no trailing newline
-        reopened = ResultStore(tmp_path)
-        second = reopened.put(other_result)
-        assert reopened.get(second).points
-        # The new envelope survives a full rescan.
-        rebuilt = ResultStore(tmp_path)
-        rebuilt.rebuild_index()
-        assert sorted(rebuilt.keys()) == sorted([first, second])
-        assert rebuilt.get(second).points
-
 
 class TestCompaction:
-    def test_compact_drops_dead_weight(self, tmp_path, result, other_result):
-        store = ResultStore(tmp_path, segment_max_records=1, format="jsonl")
-        first = store.put(result)
-        second = store.put(other_result)
-        # Duplicate the first envelope manually (a superseded copy) plus junk.
-        segment = next((tmp_path / "segments").glob("*.jsonl"))
-        content = segment.read_text()
-        with segment.open("a") as handle:
-            handle.write("not json at all\n")
-        (tmp_path / "segments" / "segment-000099.jsonl").write_text(content)
-        store.rebuild_index()
-        stats = store.compact()
-        assert stats["kept"] == 2
-        assert stats["dropped"] >= 1
-        assert sorted(store.keys()) == sorted([first, second])
-        # Segments are renumbered from 1 and contain only live envelopes.
-        segments = sorted((tmp_path / "segments").glob("*.jsonl"))
-        assert [path.name for path in segments] == [
-            "segment-000001.jsonl",
-            "segment-000002.jsonl",
-        ]
+    def test_compact_drops_dead_weight(self, tmp_path, result, other_result, legacy_line):
+        # A legacy store with junk and a superseded copy of the first
+        # envelope: the import keeps only the live records.
+        first_line = legacy_line(result_to_dict(result), sequence=1)
+        segments_dir = tmp_path / "segments"
+        segments_dir.mkdir()
+        (segments_dir / "segment-000001.jsonl").write_text(
+            first_line + legacy_line(result_to_dict(other_result), sequence=2)
+            + "not json at all\n"
+        )
+        (segments_dir / "segment-000099.jsonl").write_text(first_line)
+        store = ResultStore(tmp_path, segment_max_records=1)
+        first, second = store.keys()
         assert store.get(first).evaluations == result.evaluations
+        assert store.get(second).evaluations == other_result.evaluations
+        # Segments are renumbered from 1 and contain only live blocks.
+        assert sorted(path.name for path in segments_dir.glob("segment-*")) == [
+            "segment-000001.col",
+            "segment-000002.col",
+        ]
+        # Columnar dead weight: a superseded block copy plus a torn tail.
+        shutil.copy(segments_dir / "segment-000001.col", segments_dir / "segment-000099.col")
+        with (segments_dir / "segment-000099.col").open("ab") as handle:
+            handle.write(b"torn-block")
+        store.rebuild_index()
+        assert store.compact() == {"kept": 2, "dropped": 2}
+        assert sorted(store.keys()) == sorted([first, second])
+        assert sorted(path.name for path in segments_dir.glob("segment-*")) == [
+            "segment-000001.col",
+            "segment-000002.col",
+        ]
         assert ResultStore(tmp_path).keys() == store.keys()
 
     def test_segment_rollover(self, tmp_path, result, other_result):

@@ -1,10 +1,10 @@
-"""Columnar store: migration bit-identity, JSONL equivalence, cursors, compaction.
+"""Columnar store: legacy JSONL import, engine parity, cursors, compaction.
 
-The contract under test is the tentpole one: the binary columnar format
-is an *internal* representation — every externally visible behaviour
-(payload round trips, query/pareto/best pages, pagination cursors,
-compaction) must be indistinguishable from the legacy JSONL store, with
-the JSONL path kept as the import/migration route.
+The binary columnar format is the store's only write and serve format.
+Every externally visible behaviour (payload round trips, query/pareto/
+best pages, pagination cursors, compaction) must match the plain-Python
+:class:`ReferenceEngine` over the decoded payload, and legacy JSONL
+segments must import into it bit-identically.
 """
 
 from __future__ import annotations
@@ -13,14 +13,22 @@ import copy
 import json
 import random
 
-import numpy as np
 import pytest
 
 from repro.core.design_space import SweepSpec
 from repro.experiments import ExperimentSpec, run_experiment
+from repro.experiments.cli import main as cli_main
 from repro.experiments.persistence import result_to_dict
 from repro.service import QuerySpec, ResultStore
-from repro.service.query import ColumnarEngine, ReferenceEngine
+from repro.service import columnar as _columnar
+from repro.service.query import (
+    ColumnarEngine,
+    ReferenceEngine,
+    best_row,
+    pareto_rows,
+    query_rows,
+)
+from repro.service.store import result_key
 
 
 def tiny_spec(name, networks=("vgg16-d",), devices=("xc7vx485t",)):
@@ -54,12 +62,22 @@ def payload_b():
 
 @pytest.fixture()
 def dual(tmp_path, payload_a, payload_b):
-    """The same two results stored twice: legacy JSONL and columnar."""
-    jsonl = ResultStore(tmp_path / "jsonl", format="jsonl")
-    col = ResultStore(tmp_path / "col", format="columnar")
+    """A columnar store of two results, plus each result's two engines.
+
+    Returns ``(store, engines)`` where ``engines(key)`` is the stored
+    result's ``(ColumnarEngine, ReferenceEngine)`` pair: the zero-copy
+    engine the store serves from, and the oracle over the decoded payload.
+    """
+    store = ResultStore(tmp_path)
     for payload in (payload_a, payload_b):
-        assert jsonl.put_payload(payload) == col.put_payload(payload)
-    return jsonl, col
+        store.put_payload(payload)
+
+    def engines(key):
+        engine = store._engine_for(key)
+        assert isinstance(engine, ColumnarEngine)
+        return engine, ReferenceEngine(store.get_payload(key))
+
+    return store, engines
 
 
 def canon(value):
@@ -68,7 +86,7 @@ def canon(value):
 
 
 def page_shape(page):
-    """A page minus the cursor token (tokens embed format-specific segment names)."""
+    """A page minus the cursor token."""
     return {
         "key": page.key,
         "rows": page.rows,
@@ -91,51 +109,128 @@ def drain(store, spec):
             return rows, totals
 
 
-class TestMigration:
-    def test_jsonl_to_columnar_bit_identical(self, tmp_path, payload_a, payload_b):
-        store = ResultStore(tmp_path, format="jsonl")
-        keys = [store.put_payload(p) for p in (payload_a, payload_b)]
-        before = {key: canon(store.get_payload(key)) for key in keys}
+def drain_rows(engine, spec, start=0):
+    """Every ``query_rows`` page of one engine, following ``next_start``."""
+    pages = []
+    while start is not None:
+        rows, total, start = query_rows(engine, spec, start, spec.limit)
+        pages.append((rows, total, start))
+    return pages
 
-        stats = store.migrate()
-        assert stats == {"kept": 2, "dropped": 0, "format": "columnar"}
-        assert store.format == "columnar"
-        segments = sorted(p.name for p in (tmp_path / "segments").glob("segment-*"))
-        assert segments and all(name.endswith(".col") for name in segments)
-        # Same keys, byte-identical payloads (including dict field order).
-        assert sorted(store.keys()) == sorted(keys)
-        assert {key: canon(store.get_payload(key)) for key in keys} == before
 
-    def test_reopen_auto_detects_columnar(self, tmp_path, payload_a):
-        store = ResultStore(tmp_path, format="jsonl")
-        key = store.put_payload(payload_a)
-        store.migrate()
-        del store
-        reopened = ResultStore(tmp_path)  # no explicit format
-        assert reopened.format == "columnar"
-        assert canon(reopened.get_payload(key)) == canon(payload_a)
+def segment_names(root):
+    return sorted(path.name for path in (root / "segments").glob("segment-*"))
 
-    def test_migrate_back_to_jsonl(self, tmp_path, payload_a):
-        store = ResultStore(tmp_path, format="columnar")
-        key = store.put_payload(payload_a)
-        stats = store.migrate(format="jsonl")
-        assert stats["format"] == "jsonl"
-        segments = sorted(p.name for p in (tmp_path / "segments").glob("segment-*"))
-        assert segments and all(name.endswith(".jsonl") for name in segments)
-        assert canon(store.get_payload(key)) == canon(payload_a)
 
-    def test_unknown_format_rejected(self, tmp_path):
+def segment_identities(root):
+    """``{name: (inode, mtime_ns)}`` of every segment file."""
+    return {
+        path.name: (path.stat().st_ino, path.stat().st_mtime_ns)
+        for path in (root / "segments").glob("segment-*")
+    }
+
+
+class TestLegacyImport:
+    def test_jsonl_to_columnar_bit_identical(self, tmp_path, payload_a, payload_b, legacy_line):
+        (tmp_path / "segments").mkdir()
+        (tmp_path / "segments" / "segment-000001.jsonl").write_text(
+            legacy_line(payload_a, sequence=1) + legacy_line(payload_b, sequence=2)
+        )
         store = ResultStore(tmp_path)
-        with pytest.raises(ValueError, match="unknown store format"):
-            store.migrate(format="parquet")
+        assert segment_names(tmp_path) == ["segment-000001.col"]
+        # Same keys, byte-identical payloads (including dict field order).
+        assert store.keys() == [result_key(payload_a), result_key(payload_b)]
+        assert canon(store.get_payload(result_key(payload_a))) == canon(payload_a)
+        assert canon(store.get_payload(result_key(payload_b))) == canon(payload_b)
 
-    def test_engine_kinds_match_storage(self, dual, payload_a):
-        from repro.service.store import result_key
+    @pytest.fixture()
+    def messy_legacy(self, tmp_path, payload_a, payload_b, legacy_line):
+        """A legacy store with a foreign line, a superseded duplicate and a
+        torn tail; returns the payloads it should serve, by key."""
+        # Same content key as payload_a; only run provenance differs.
+        newer_a = {**payload_a, "elapsed_seconds": payload_a["elapsed_seconds"] + 1.0}
+        assert result_key(newer_a) == result_key(payload_a)
+        segments = tmp_path / "segments"
+        segments.mkdir()
+        (segments / "segment-000001.jsonl").write_text(
+            legacy_line(payload_a, sequence=1, created=1.0)
+            + json.dumps({"schema": "someone-else/1", "meta": {}, "result": {}})
+            + "\n"
+            + legacy_line(payload_b, sequence=2)
+        )
+        (segments / "segment-000002.jsonl").write_text(
+            legacy_line(newer_a, sequence=3, created=3.0)
+            + legacy_line(payload_b, sequence=4)[:-40]  # torn mid-append
+        )
+        # Oldest sequence first: b (2), then the newest copy of a (3).
+        return {result_key(payload_b): payload_b, result_key(newer_a): newer_a}
 
-        jsonl, col = dual
-        key = result_key(payload_a)
-        assert isinstance(jsonl._engine_for(key), ReferenceEngine)
-        assert isinstance(col._engine_for(key), ColumnarEngine)
+    def test_import_serves_complete_newest_envelopes(self, tmp_path, messy_legacy):
+        store = ResultStore(tmp_path)
+        assert not list((tmp_path / "segments").glob("*.jsonl"))
+        assert segment_names(tmp_path) == ["segment-000001.col"]
+        assert store.keys() == list(messy_legacy)
+        key_b, key_a = messy_legacy
+        assert (store.record(key_a).sequence, store.record(key_a).created) == (3, 3.0)
+        for key, payload in messy_legacy.items():
+            assert canon(store.get_payload(key)) == canon(payload)
+
+    def test_reopen_after_import_rewrites_nothing(self, tmp_path, messy_legacy):
+        ResultStore(tmp_path)
+        before = segment_identities(tmp_path)
+        index_before = (tmp_path / "index.json").read_bytes()
+        reopened = ResultStore(tmp_path)
+        assert segment_identities(tmp_path) == before
+        assert (tmp_path / "index.json").read_bytes() == index_before
+        assert reopened.keys() == list(messy_legacy)
+        for key, payload in messy_legacy.items():
+            assert canon(reopened.get_payload(key)) == canon(payload)
+
+    def test_crash_mid_import_loses_nothing(
+        self, tmp_path, payload_a, payload_b, legacy_line, monkeypatch
+    ):
+        (tmp_path / "segments").mkdir()
+        (tmp_path / "segments" / "segment-000001.jsonl").write_text(
+            legacy_line(payload_a, sequence=1) + legacy_line(payload_b, sequence=2)
+        )
+        encode_block = _columnar.encode_block
+        calls = []
+
+        def failing_encode(meta, payload):
+            calls.append(meta["key"])
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return encode_block(meta, payload)
+
+        monkeypatch.setattr(_columnar, "encode_block", failing_encode)
+        with pytest.raises(OSError, match="disk full"):
+            # One record per segment: the crash leaves two side files.
+            ResultStore(tmp_path, segment_max_records=1)
+        assert len(list((tmp_path / "segments").glob("*.compact"))) == 2
+        monkeypatch.undo()
+
+        store = ResultStore(tmp_path)
+        assert not list((tmp_path / "segments").glob("*.jsonl"))
+        assert not list((tmp_path / "segments").glob("*.compact"))
+        assert store.keys() == [result_key(payload_a), result_key(payload_b)]
+        assert canon(store.get_payload(result_key(payload_a))) == canon(payload_a)
+        assert canon(store.get_payload(result_key(payload_b))) == canon(payload_b)
+
+    def test_migrate_command_imports(self, tmp_path, payload_a, legacy_line, capsys):
+        (tmp_path / "segments").mkdir()
+        (tmp_path / "segments" / "segment-000001.jsonl").write_text(
+            legacy_line(payload_a, sequence=1)
+        )
+        assert cli_main(["migrate", "--store", str(tmp_path)]) == 0
+        assert "kept 1 result(s), dropped 0" in capsys.readouterr().out
+        assert segment_names(tmp_path) == ["segment-000001.col"]
+        store = ResultStore(tmp_path)
+        assert canon(store.get_payload(result_key(payload_a))) == canon(payload_a)
+
+    def test_engine_kinds_match_storage(self, dual, payload_a, payload_b):
+        store, _engines = dual
+        for payload in (payload_a, payload_b):
+            assert isinstance(store._engine_for(result_key(payload)), ColumnarEngine)
 
 
 NUMERIC_METRICS = (
@@ -149,11 +244,11 @@ NUMERIC_METRICS = (
 )
 
 
-class TestJsonlEquivalence:
-    """Seeded property tests: columnar answers == JSONL reference answers."""
+class TestEngineParity:
+    """Seeded property tests: ColumnarEngine answers == ReferenceEngine answers."""
 
     def test_random_queries_identical(self, dual, payload_a):
-        jsonl, col = dual
+        store, engines = dual
         rng = random.Random(0xC01)
         points = payload_a["points"]
         networks = sorted({p["workload_name"] for p in points})
@@ -193,14 +288,22 @@ class TestJsonlEquivalence:
                 fields["limit"] = rng.randint(1, len(points) + 2)
 
             spec = QuerySpec(**fields)
-            assert canon(page_shape(jsonl.query_page(spec))) == canon(
-                page_shape(col.query_page(spec))
+            key, start, _ = store._resolve(spec, "query")
+            col, ref = engines(key)
+            # Every page, following next_start, must agree.
+            expected = drain_rows(ref, spec, start)
+            assert canon(drain_rows(col, spec, start)) == canon(expected), fields
+            # ...and the store serves exactly those pages through cursors.
+            rows, total, next_start = expected[0]
+            assert canon(page_shape(store.query_page(spec))) == canon(
+                {"key": key, "rows": rows, "total": total, "has_more": next_start is not None}
             ), fields
-            # Full drain through cursors must agree page-for-page too.
-            assert canon(drain(jsonl, spec)) == canon(drain(col, spec)), fields
+            assert canon(drain(store, spec)) == canon(
+                ([row for page in expected for row in page[0]], [page[1] for page in expected])
+            ), fields
 
     def test_pareto_identical(self, dual):
-        jsonl, col = dual
+        store, engines = dual
         objective_sets = (
             None,  # result's own campaign objectives
             [["throughput_gops", True], ["power_watts", False]],
@@ -210,37 +313,47 @@ class TestJsonlEquivalence:
             for network in (None, "vgg16-d"):
                 for limit in (None, 1, 3, 1000):
                     spec = QuerySpec(network=network, objectives=objectives, limit=limit)
-                    left, right = jsonl.pareto(spec), col.pareto(spec)
-                    assert canon(left.objectives) == canon(right.objectives)
-                    assert canon(left.fronts) == canon(right.fronts)
-                    assert left.total == right.total
-                    assert (left.next_cursor is None) == (right.next_cursor is None)
+                    key, start, _ = store._resolve(spec, "pareto")
+                    col, ref = engines(key)
+                    defaults = store._default_objectives(key) if objectives is None else ()
+                    expected = pareto_rows(ref, spec, defaults, start, limit)
+                    assert canon(pareto_rows(col, spec, defaults, start, limit)) == canon(
+                        expected
+                    )
+                    page = store.pareto(spec)
+                    assert canon(page.objectives) == canon(expected[0])
+                    assert canon(page.fronts) == canon(expected[1])
+                    assert page.total == expected[2]
+                    assert (page.next_cursor is None) == (expected[3] is None)
 
     def test_best_identical(self, dual):
-        jsonl, col = dual
+        store, engines = dual
         for metric in NUMERIC_METRICS:
             for maximize in (None, True, False):
                 spec = QuerySpec(metric=metric, maximize=maximize)
-                left, right = jsonl.best(spec), col.best(spec)
-                assert (left.key, left.metric, left.value) == (
-                    right.key,
-                    right.metric,
-                    right.value,
-                )
-                assert canon(left.row) == canon(right.row)
+                key, _start, _ = store._resolve(spec, "best")
+                col, ref = engines(key)
+                row, value = best_row(ref, spec)
+                assert canon(best_row(col, spec)) == canon((row, value))
+                best = store.best(spec)
+                assert (best.key, best.metric, best.value) == (key, metric, value)
+                assert canon(best.row) == canon(row)
 
     def test_error_parity(self, dual):
-        jsonl, col = dual
-        for spec in (
-            QuerySpec(network="not-a-network"),
-            QuerySpec(key="0" * 16),
+        # Unresolvable specs fail before any engine runs, with the stable
+        # not-found messages the HTTP layer forwards verbatim.
+        store, _engines = dual
+        for spec, message in (
+            (
+                QuerySpec(network="not-a-network"),
+                'no stored result matches {"network": "not-a-network"}',
+            ),
+            (QuerySpec(key="0" * 16), f"no stored result with key {'0' * 16!r}"),
         ):
-            errors = []
-            for store in dual:
+            for read in (store.query_page, store.pareto):
                 with pytest.raises(KeyError) as excinfo:
-                    store.query_page(spec)
-                errors.append(str(excinfo.value))
-            assert errors[0] == errors[1]
+                    read(spec)
+                assert excinfo.value.args == (message,)
 
 
 class TestCursors:
@@ -296,7 +409,7 @@ class TestCompactReaderSafety:
     def test_compact_while_memmap_reader_paginated(self, tmp_path, payload_a, payload_b):
         """The satellite bugfix: compaction must not yank segments from
         under a reader holding memory-mapped blocks mid-pagination."""
-        store = ResultStore(tmp_path, format="columnar", segment_max_records=1)
+        store = ResultStore(tmp_path, segment_max_records=1)
         key = store.put_payload(payload_a)
         store.put_payload(payload_b)
 
@@ -338,7 +451,7 @@ class TestCompactReaderSafety:
         assert len(reopened) == 1
 
     def test_compact_drops_superseded_and_renumbers(self, tmp_path, payload_a, payload_b):
-        store = ResultStore(tmp_path, format="columnar", segment_max_records=1)
+        store = ResultStore(tmp_path, segment_max_records=1)
         keys = [store.put_payload(p) for p in (payload_a, payload_b)]
         before = {key: canon(store.get_payload(key)) for key in keys}
         stats = store.compact()
@@ -352,25 +465,25 @@ class TestRobustness:
     def test_opaque_fallback_round_trips(self, tmp_path, payload_a, payload_b):
         # A payload the strict column encoder cannot represent (a point
         # with a non-canonical key) must still round-trip bit-identically
-        # and answer queries exactly like the JSONL reference.
+        # and answer queries exactly like the reference engine.
         payload = copy.deepcopy(payload_a)
         payload["points"][0]["custom_annotation"] = {"note": "hand-edited"}
 
-        col = ResultStore(tmp_path / "col", format="columnar")
-        jsonl = ResultStore(tmp_path / "jsonl", format="jsonl")
+        col = ResultStore(tmp_path)
         key = col.put_payload(payload)
-        assert jsonl.put_payload(payload) == key
+        assert key == result_key(payload)
         assert canon(col.get_payload(key)) == canon(payload)
 
         # Opaque storage falls back to the reference engine transparently.
         assert isinstance(col._engine_for(key), ReferenceEngine)
         spec = QuerySpec(key=key, metric="throughput_gops", top_k=3)
+        rows, total, next_start = query_rows(ReferenceEngine(payload), spec)
         assert canon(page_shape(col.query_page(spec))) == canon(
-            page_shape(jsonl.query_page(spec))
+            {"key": key, "rows": rows, "total": total, "has_more": next_start is not None}
         )
 
     def test_torn_block_tail_skipped_and_healed(self, tmp_path, payload_a, payload_b):
-        store = ResultStore(tmp_path, format="columnar")
+        store = ResultStore(tmp_path)
         key = store.put_payload(payload_a)
         segment = next((tmp_path / "segments").glob("segment-*.col"))
         with segment.open("ab") as handle:
@@ -385,6 +498,11 @@ class TestRobustness:
         assert sorted(reopened.keys()) == sorted([key, key_b])
         assert canon(reopened.get_payload(key)) == canon(payload_a)
         assert canon(reopened.get_payload(key_b)) == canon(payload_b)
+        # The record appended after the torn tail survives a full rescan.
+        rebuilt = ResultStore(tmp_path)
+        rebuilt.rebuild_index()
+        assert sorted(rebuilt.keys()) == sorted([key, key_b])
+        assert canon(rebuilt.get_payload(key_b)) == canon(payload_b)
 
     def test_bulk_ingest_deferred_flush_heals(self, tmp_path, payload_a, payload_b):
         store = ResultStore(tmp_path)
