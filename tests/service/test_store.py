@@ -203,6 +203,24 @@ class TestIndexSelfHealing:
         assert reopened.put(other_result) != first
         assert len(reopened) == 2
 
+    def test_append_after_torn_tail_is_not_lost(self, tmp_path, result, other_result, legacy_line):
+        """A put after importing a legacy segment with a torn (newline-less)
+        tail must land in a clean segment, so a later full rescan still
+        finds it instead of merging it into the torn bytes."""
+        (tmp_path / "segments").mkdir()
+        (tmp_path / "segments" / "segment-000001.jsonl").write_text(
+            legacy_line(result_to_dict(result), sequence=1) + '{"torn": tr'
+        )
+        reopened = ResultStore(tmp_path)
+        [first] = reopened.keys()
+        second = reopened.put(other_result)
+        reopened.rebuild_index()
+        assert sorted(reopened.keys()) == sorted([first, second])
+        rebuilt = ResultStore(tmp_path)
+        rebuilt.rebuild_index()
+        assert sorted(rebuilt.keys()) == sorted([first, second])
+        assert rebuilt.get(second).evaluations == other_result.evaluations
+
 
 class TestCompaction:
     def test_compact_drops_dead_weight(self, tmp_path, result, other_result, legacy_line):

@@ -216,6 +216,26 @@ class TestLegacyImport:
         assert canon(store.get_payload(result_key(payload_a))) == canon(payload_a)
         assert canon(store.get_payload(result_key(payload_b))) == canon(payload_b)
 
+    def test_import_beside_columnar_segments(self, tmp_path, payload_a, payload_b, legacy_line):
+        # A store already holding columnar blocks next to a legacy segment
+        # (one newer copy of a stored key, one new key): the import keeps
+        # the columnar records and adds the legacy ones.
+        store = ResultStore(tmp_path)
+        store.put_payload(payload_a)
+        newer_a = {**payload_a, "elapsed_seconds": payload_a["elapsed_seconds"] + 1.0}
+        (tmp_path / "segments" / "segment-000002.jsonl").write_text(
+            legacy_line(newer_a, sequence=2, created=2.0) + legacy_line(payload_b, sequence=3)
+        )
+        del store
+
+        store = ResultStore(tmp_path)
+        assert not list((tmp_path / "segments").glob("*.jsonl"))
+        assert segment_names(tmp_path) == ["segment-000001.col"]
+        assert store.keys() == [result_key(payload_a), result_key(payload_b)]
+        assert store.record(result_key(payload_a)).sequence == 2
+        assert canon(store.get_payload(result_key(payload_a))) == canon(newer_a)
+        assert canon(store.get_payload(result_key(payload_b))) == canon(payload_b)
+
     def test_migrate_command_imports(self, tmp_path, payload_a, legacy_line, capsys):
         (tmp_path / "segments").mkdir()
         (tmp_path / "segments" / "segment-000001.jsonl").write_text(
