@@ -141,10 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "local campaign-job shard workers: 0 disables local execution "
-            "(shards run only on the worker fleet), 1 runs shards on a single "
-            "background thread, N >= 2 fans them out over a process pool "
-            "(default: 1)"
+            "local slots executing campaign-job shards as in-process lease "
+            "clients: 0 disables local execution (shards run only on the "
+            "worker fleet), 1 runs shards on a single background thread, "
+            "N >= 2 runs them on a process pool of N (default: 1)"
         ),
     )
     serve_parser.add_argument(
@@ -161,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=60.0,
         help=(
-            "seconds a fleet worker's shard lease survives without a heartbeat "
-            "before the shard re-queues (default: 60)"
+            "seconds a shard lease (local slot or fleet worker) survives "
+            "without a heartbeat before the shard re-queues (default: 60)"
         ),
     )
     serve_parser.add_argument(

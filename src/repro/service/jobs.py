@@ -22,26 +22,24 @@ the exact canonical evaluation order.  Non-grid strategies (random, pareto-refin
 custom) are adaptive and cannot be split without changing their search, so
 they run as a single whole-spec shard.
 
-Execution: the local pool and the worker fleet
-----------------------------------------------
-Shards execute on whichever claimant grabs them first:
+Execution: one lease path
+-------------------------
+Every shard is executed under a *lease*.  A claimant acquires a lease on a
+pending shard (:meth:`JobManager.acquire_leases`), runs it with
+:func:`execute_shard`, heartbeats while it runs, and finishes with
+:meth:`JobManager.complete_lease` or :meth:`JobManager.fail_lease`.  The
+:class:`LeaseLedger` tracks every outstanding lease with an expiry
+deadline; a lease whose deadline passes (dead or partitioned claimant) is
+**re-queued automatically** — the shard goes back to ``pending`` and the
+next claimant re-executes it.  A shard that exhausts ``max_lease_attempts``
+grants fails the job, so one poisoned shard cannot spin forever.
 
-* **The local pool** — a ``ProcessPoolExecutor`` (``workers >= 2``) or a
-  single background thread (``workers == 1``), evaluating through the
-  vectorized engine (:mod:`repro.dse.vectorized`).  ``workers == 0``
-  disables local execution entirely: shards then run only on the fleet.
-* **The pull-based worker fleet** — remote ``python -m repro worker``
-  processes (:mod:`repro.worker`) that *lease* pending shards over HTTP
-  (``POST /v1/leases``), execute them with the very same
-  :func:`execute_shard` entry point, and push the payload back
-  (``POST /v1/leases/<id>/complete``).  The :class:`LeaseLedger` tracks
-  every outstanding lease with an expiry deadline; workers extend it by
-  heartbeating, and a lease whose deadline passes (dead or partitioned
-  worker) is **re-queued automatically** — the shard goes back to
-  ``pending`` and the next claimant (local slot or another worker's
-  acquire) re-executes it.  A shard whose leases keep expiring fails the
-  job after ``max_lease_attempts`` grants, so one poisoned shard cannot
-  spin the fleet forever.
+Claimants are remote ``python -m repro worker`` processes
+(:mod:`repro.worker`, over ``POST /v1/leases``) and ``workers`` in-process
+*local slots*, which hold their leases as worker ``"local"`` and execute on
+one background thread (``workers == 1``) or a ``ProcessPoolExecutor``
+(``workers >= 2``).  ``workers == 0`` starts no slots: shards then run only
+on the fleet.
 
 Because a shard is a self-contained deterministic spec, it does not matter
 *who* executes it: the stored payload — and therefore the assembled
@@ -131,12 +129,12 @@ TERMINAL_STATES = ("completed", "failed", "cancelled")
 #: evicted (a serve-forever process must not accumulate Job objects).
 MAX_TERMINAL_JOBS = 256
 
-#: Every state a shard can be in.  ``leased`` means a fleet worker holds
-#: the shard under an unexpired lease.
+#: Every state a shard can be in.  ``leased`` means a claimant — a local
+#: slot (worker ``"local"``) or a fleet worker — holds the shard under an
+#: unexpired lease.
 SHARD_STATES = (
     "pending",
     "leased",
-    "running",
     "completed",
     "skipped",
     "failed",
@@ -260,8 +258,8 @@ def plan_shards(
 def execute_shard(spec_payload: Dict[str, Any]) -> Dict[str, Any]:
     """Evaluate one shard spec payload, returning its result payload.
 
-    The single shard-execution entry point shared by every executor: local
-    pool workers (process or thread) and remote fleet workers
+    The single shard-execution entry point shared by every claimant: local
+    slots (on a thread or a process pool) and remote fleet workers
     (:mod:`repro.worker`) all run exactly this function, which is what
     makes "who executed the shard" invisible in the stored bytes.  Takes
     and returns plain dicts — the spec's ``to_dict`` form in, the result's
@@ -285,11 +283,9 @@ def execute_shard(spec_payload: Dict[str, Any]) -> Dict[str, Any]:
 class ShardRun:
     """Runtime state of one shard within a job.
 
-    State transitions are funnelled through :meth:`set_state`, which wakes
-    the shard's scheduler task (``_drive_shard``) and, on a terminal
-    state, releases anyone blocked in :meth:`wait_terminal` — that is how
-    a remote lease completion unblocks the job runner without the local
-    pool ever touching the shard.
+    State transitions are funnelled through :meth:`set_state`, which on a
+    terminal state releases anyone blocked in :meth:`wait_terminal` — that
+    is how a lease completion unblocks the job runner.
     """
 
     plan: ShardPlan
@@ -300,23 +296,16 @@ class ShardRun:
     key: Optional[str] = None
     #: Who executed (or holds) the shard: ``"local"`` or a fleet worker id.
     worker: Optional[str] = None
-    #: Lease grants so far (0 while the shard never left the local path).
+    #: Lease grants so far.
     attempts: int = 0
     payload: Optional[Dict[str, Any]] = field(default=None, repr=False)
-    _wake: asyncio.Event = field(default_factory=asyncio.Event, repr=False)
     _terminal: asyncio.Event = field(default_factory=asyncio.Event, repr=False)
 
     def set_state(self, state: str) -> None:
-        """Transition to ``state``, waking waiters (terminal states latch)."""
+        """Transition to ``state`` (terminal states release waiters)."""
         self.state = state
-        self._wake.set()
         if state in SHARD_TERMINAL:
             self._terminal.set()
-
-    async def state_changed(self) -> None:
-        """Block until the next :meth:`set_state` after this call started."""
-        await self._wake.wait()
-        self._wake.clear()
 
     async def wait_terminal(self) -> None:
         """Block until the shard reaches a terminal state."""
@@ -368,7 +357,6 @@ class Job:
         self.error: Optional[str] = None
         self._done = asyncio.Event()
         self._cancelled = False
-        self._tasks: List["asyncio.Task"] = []
         self._runner: Optional["asyncio.Task"] = None
 
     # ------------------------------------------------------------------ #
@@ -407,7 +395,7 @@ class Job:
         if not durations or self.done:
             return None
         remaining = sum(
-            1 for shard in self.shards if shard.state in ("pending", "leased", "running")
+            1 for shard in self.shards if shard.state in ("pending", "leased")
         )
         mean = sum(durations) / len(durations)
         return round(mean * remaining / max(1, workers), 6)
@@ -441,11 +429,11 @@ class Job:
 
 @dataclass
 class Lease:
-    """One outstanding claim a fleet worker holds on a shard.
+    """One outstanding claim a local slot or fleet worker holds on a shard.
 
     ``deadline`` is the wall-clock instant after which the scheduler
-    considers the worker dead and re-queues the shard; heartbeats push it
-    forward by ``ttl_s``.
+    considers the claimant dead and re-queues the shard; heartbeats push
+    it forward by ``ttl_s``.
     """
 
     id: str
@@ -474,7 +462,7 @@ class Lease:
 
 
 class LeaseLedger:
-    """Bookkeeping for the pull-based fleet: availability, leases, history.
+    """Bookkeeping for every claimant: availability, leases, history.
 
     Event-loop confined (every caller runs on the scheduler's loop), so no
     locking: an acquire observes shard states that cannot change under it.
@@ -486,6 +474,9 @@ class LeaseLedger:
         if ttl_s <= 0:
             raise ValueError("ttl_s must be > 0")
         self.ttl_s = ttl_s
+        #: Set by :meth:`offer`; idle local slots block on it instead of
+        #: polling (a poll period would add to every shard's queue wait).
+        self.offered = asyncio.Event()
         self._available: Deque[Tuple[Job, ShardRun]] = deque()
         self._leases: Dict[str, Lease] = {}
         #: Recently closed leases: id -> {"outcome", "key"} for idempotent
@@ -505,15 +496,16 @@ class LeaseLedger:
 
     # ------------------------------------------------------------------ #
     def offer(self, job: Job, shard: ShardRun) -> None:
-        """Make a pending shard claimable by the fleet."""
+        """Make a pending shard claimable and wake idle local slots."""
         self._available.append((job, shard))
+        self.offered.set()
 
     def pop_available(self) -> Optional[Tuple[Job, ShardRun]]:
         """The oldest genuinely claimable (job, shard) pair, if any.
 
-        Entries claimed meanwhile by the local pool (or whose job went
-        terminal) are lazily discarded here — shard ``state`` is the one
-        claim token, so a stale deque entry is harmless.
+        Entries whose shard or job went terminal meanwhile are lazily
+        discarded here — shard ``state`` is the one claim token, so a
+        stale deque entry is harmless.
         """
         while self._available:
             job, shard = self._available.popleft()
@@ -545,6 +537,7 @@ class LeaseLedger:
         self._leases[lease.id] = lease
         self.counters["granted"] += 1
         self._touch_worker(worker)
+        self._workers[worker]["leases_granted"] += 1
         return lease
 
     def get(self, lease_id: str) -> Optional[Lease]:
@@ -580,15 +573,9 @@ class LeaseLedger:
     def _touch_worker(self, worker: str) -> None:
         entry = self._workers.pop(worker, None) or {"leases_granted": 0}
         entry["last_seen"] = time.time()
-        entry["leases_granted"] = entry.get("leases_granted", 0)
         self._workers[worker] = entry
         while len(self._workers) > MAX_TRACKED_WORKERS:
             self._workers.popitem(last=False)
-
-    def record_worker_grant(self, worker: str) -> None:
-        """Bump a worker's granted-lease counter in the fleet stats."""
-        self._touch_worker(worker)
-        self._workers[worker]["leases_granted"] += 1
 
     def sweep_interval(self) -> float:
         """Seconds the expiry sweeper should sleep before its next pass."""
@@ -624,20 +611,14 @@ class LeaseLedger:
 
 
 class JobManager:
-    """Owns shard scheduling across the local pool and the worker fleet.
+    """Owns shard scheduling: the lease protocol and the local slots.
 
     All coordination runs on the event loop that calls :meth:`submit`;
     shard evaluation and store I/O run in executors, so the loop never
-    blocks on CPU-bound work.  ``workers == 1`` schedules shards onto one
-    background thread (the pre-sharding service behaviour, minus the
-    head-of-line blocking: shards from different jobs interleave);
-    ``workers >= 2`` fans shards out over a ``ProcessPoolExecutor``;
-    ``workers == 0`` disables local execution — shards then run only on
-    the pull-based fleet (:mod:`repro.worker`), and a job waits until
-    workers connect.  Pending shards are *always* claimable by the fleet,
-    whichever local pool exists: local slots and remote acquires compete
-    for the same ``pending`` state, first claimant wins.  Submitting more
-    work than there are claimants simply queues shards — jobs are accepted
+    blocks on CPU-bound work.  ``workers`` is the number of local slots
+    (see the module docstring); at ``workers == 0`` a job waits until
+    fleet workers (:mod:`repro.worker`) connect.  Submitting more work
+    than there are claimants simply queues shards — jobs are accepted
     immediately.  With ``max_pending_jobs`` set, submissions beyond that
     many non-terminal jobs raise :class:`JobQueueFull` instead of growing
     the queue unboundedly (the HTTP layer answers 429/Retry-After).
@@ -669,21 +650,14 @@ class JobManager:
         self.ledger = LeaseLedger(ttl_s=lease_ttl_s)
         self._jobs: Dict[str, Job] = {}
         self._pool: Optional[Executor] = None
-        # Admission gate sized to the pool: shards wait here (state
-        # "pending") rather than in the executor's opaque queue, so the
-        # reported pending/running split is accurate and waiting shards
-        # stay trivially cancellable.  Created lazily so it binds to the
-        # loop that actually runs the jobs.  Absent at workers == 0.
-        self._slots: Optional[asyncio.Semaphore] = None
+        self._local_slots: List["asyncio.Task"] = []
         self._sweeper: Optional["asyncio.Task"] = None
         self._closed = False
         self._ids = itertools.count(1)
 
     # ------------------------------------------------------------------ #
     def _executor(self) -> Executor:
-        """The local shard pool, created lazily on first use."""
-        if self.workers < 1:
-            raise RuntimeError("local execution is disabled (workers=0)")
+        """The local slots' shard pool, created lazily on first use."""
         if self._pool is None:
             if self.workers == 1:
                 self._pool = ThreadPoolExecutor(
@@ -732,9 +706,8 @@ class JobManager:
                 self.rejected_jobs += 1
                 raise JobQueueFull(active, self.max_pending_jobs)
         loop = asyncio.get_running_loop()
-        if self._slots is None and self.workers >= 1:
-            self._slots = asyncio.Semaphore(self.workers)
         self._ensure_sweeper()
+        self._ensure_local_slots()
         shards = await loop.run_in_executor(
             None, plan_shards, spec, self.max_entries_per_shard
         )
@@ -768,8 +741,8 @@ class JobManager:
 
         Shards already stored stay in the store (they are valid,
         independently re-runnable results that a resubmission will reuse);
-        a shard mid-execution on a worker — local or fleet — finishes but
-        its output is discarded un-stored (a fleet worker's late
+        a shard mid-execution — on a local slot or a fleet worker —
+        finishes but its output is discarded un-stored (the late
         ``complete`` is rejected because its lease was revoked).
         """
         job = self.get(job_id)
@@ -779,19 +752,14 @@ class JobManager:
         return job.state == "cancelled"
 
     async def _cancel_and_finalize(self, job: Job) -> None:
-        """Cancel a job's tasks and guarantee it reaches a terminal state.
+        """Cancel a job's runner and guarantee it reaches a terminal state.
 
-        Cancelling the runner matters: a cancel landing while the runner
-        is still in its resume-check window (no shard tasks spawned yet)
-        must interrupt that await too, not wait for the whole campaign.
         A runner cancelled before it ever started executing never enters
         its ``finally``, so the terminal bookkeeping is applied here when
         the runner did not get to do it itself.
         """
         job._cancelled = True
         self._revoke_leases(job)
-        for task in job._tasks:
-            task.cancel()
         runner = job._runner
         if runner is not None:
             runner.cancel()
@@ -801,7 +769,7 @@ class JobManager:
                 pass
         if not job._done.is_set():
             for shard in job.shards:
-                if shard.state in ("pending", "leased", "running"):
+                if shard.state in ("pending", "leased"):
                     shard.set_state("cancelled")
             job.state = "cancelled"
             job.finished = time.time()
@@ -811,9 +779,8 @@ class JobManager:
     def _revoke_leases(self, job: Job) -> None:
         """Drop every outstanding lease of ``job`` (cancel path).
 
-        The holding workers keep computing until their next protocol call,
-        which answers "lease revoked" — their output is discarded, exactly
-        like a local worker whose job was cancelled mid-shard.
+        The holding claimants keep computing until their next protocol
+        call, which answers "lease revoked" — their output is discarded.
         """
         for lease_id, lease in list(self.ledger._leases.items()):
             if lease.job is job:
@@ -821,18 +788,17 @@ class JobManager:
                 self.ledger.close(lease, "cancelled")
 
     async def close(self) -> None:
-        """Cancel every live job, the expiry sweeper and the worker pool."""
+        """Cancel every live job, the background tasks and the worker pool."""
         self._closed = True
         for job in list(self._jobs.values()):
             if not job.done:
                 await self._cancel_and_finalize(job)
-        if self._sweeper is not None:
-            self._sweeper.cancel()
-            try:
-                await self._sweeper
-            except asyncio.CancelledError:
-                pass
-            self._sweeper = None
+        tasks = self._local_slots + ([self._sweeper] if self._sweeper else [])
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        self._local_slots = []
+        self._sweeper = None
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
@@ -866,7 +832,6 @@ class JobManager:
             shard.worker = worker
             shard.set_state("leased")
             lease = self.ledger.grant(worker, job, shard, ttl)
-            self.ledger.record_worker_grant(worker)
             granted.append(
                 {
                     "id": lease.id,
@@ -908,22 +873,22 @@ class JobManager:
         payload: Dict[str, Any],
         seconds: Optional[float] = None,
     ) -> Dict[str, Any]:
-        """Accept a fleet worker's shard result and finish the shard.
+        """Accept a claimant's shard result and finish the shard.
 
         The payload is validated against the leased shard (its embedded
         spec must fingerprint to the shard's spec — a worker cannot
-        complete shard A with shard B's result), stored through
-        :meth:`~repro.service.store.ResultStore.put_payload` off the event
-        loop, and the shard transitions to ``completed``, unblocking the
-        job runner.  Idempotent: a duplicate complete of an
-        already-completed lease answers ``accepted: true, duplicate:
-        true``; a complete after expiry/revocation is rejected
+        complete shard A with shard B's result) and stored through
+        :meth:`~repro.service.store.ResultStore.put_payload`, both in one
+        executor call off the event loop; the shard then transitions to
+        ``completed``, unblocking the job runner.  Idempotent: a duplicate
+        complete of an already-completed lease answers ``accepted: true,
+        duplicate: true``; a complete after expiry/revocation is rejected
         (``accepted: false`` with the reason) because the shard was — or
         will be — re-executed by someone else.
 
         Raises ``ValueError`` for an invalid payload (the HTTP layer maps
-        it to a 400); the shard is re-queued so the invalid completion
-        costs the fleet nothing but the wasted attempt.
+        it to a 400) and stores nothing; the shard is re-queued while its
+        lease-attempt budget lasts, and fails the job once it is spent.
         """
         lease = self.ledger.pop(lease_id)
         if lease is None:
@@ -942,24 +907,28 @@ class JobManager:
                 "reason": f"shard-{shard.state}",
                 "key": None,
             }
-        loop = asyncio.get_running_loop()
-        try:
+
+        def validate_and_put() -> str:
             self._validate_shard_payload(shard, payload)
             # Shard-level appends skip the per-put index rewrite; the job
             # runner flushes once when the job settles (crash in between
             # heals via the store's count-validated rebuild on open).
-            key = await loop.run_in_executor(
-                None, lambda: self.store.put_payload(payload, flush_index=False)
+            return self.store.put_payload(payload, flush_index=False)
+
+        try:
+            key = await asyncio.get_running_loop().run_in_executor(
+                None, validate_and_put
             )
-        except Exception:
-            # Invalid completion: the shard still needs executing.
+        except Exception as error:
             self.ledger.close(lease, "invalid")
             self.ledger.counters["failed"] += 1
             if shard.state == "leased":
-                shard.worker = None
-                shard.set_state("pending")
-                self.ledger.offer(job, shard)
-                self.ledger.counters["requeued"] += 1
+                self._retry_or_fail(
+                    job,
+                    shard,
+                    f"invalid completion after {shard.attempts} grants "
+                    f"(last worker {lease.worker!r}): {error}",
+                )
             raise
         if shard.state == "leased":  # a cancel may have landed during the await
             shard.key = key
@@ -979,14 +948,13 @@ class JobManager:
     async def fail_lease(
         self, lease_id: str, error: str, requeue: bool = False
     ) -> Dict[str, Any]:
-        """Report a worker-side shard failure (or hand the shard back).
+        """Report a claimant-side shard failure (or hand the shard back).
 
         ``requeue=False`` (an execution error): the shard — and therefore
-        the job — fails with the worker's error message, exactly as a
-        local execution failure would.  ``requeue=True`` (the worker is
-        shutting down, or hit a transient environment problem): the shard
-        goes back to ``pending`` for the next claimant, counting against
-        its lease-attempt budget.
+        the job — fails with the claimant's error message.  ``requeue=True``
+        (the worker is shutting down, or hit a transient environment
+        problem): the shard goes back to ``pending`` for the next claimant,
+        counting against its lease-attempt budget.
         """
         lease = self.ledger.pop(lease_id)
         if lease is None:
@@ -996,18 +964,28 @@ class JobManager:
         job, shard = lease.job, lease.shard
         requeued = False
         if shard.state == "leased":
-            if requeue and shard.attempts < self.max_lease_attempts:
-                shard.worker = None
-                shard.set_state("pending")
-                self.ledger.offer(job, shard)
-                self.ledger.counters["requeued"] += 1
-                requeued = True
-            else:
-                shard.error = error
-                shard.set_state("failed")
+            requeued = self._retry_or_fail(job, shard, error, retry=requeue)
         self.ledger.close(lease, "requeued" if requeued else "failed")
         self.ledger.counters["failed"] += 0 if requeued else 1
         return {"accepted": True, "reason": None, "requeued": requeued}
+
+    def _retry_or_fail(
+        self, job: Job, shard: ShardRun, error: str, retry: bool = True
+    ) -> bool:
+        """Re-queue a leased shard while its attempt budget lasts, else fail it.
+
+        Returns whether the shard went back to ``pending``; otherwise it is
+        ``failed`` with ``error`` (``retry=False`` fails it outright).
+        """
+        if retry and shard.attempts < self.max_lease_attempts:
+            shard.worker = None
+            shard.set_state("pending")
+            self.ledger.offer(job, shard)
+            self.ledger.counters["requeued"] += 1
+            return True
+        shard.error = error
+        shard.set_state("failed")
+        return False
 
     @staticmethod
     def _validate_shard_payload(shard: ShardRun, payload: Dict[str, Any]) -> None:
@@ -1064,18 +1042,59 @@ class JobManager:
             job, shard = lease.job, lease.shard
             if job.done or job._cancelled or shard.state != "leased":
                 continue
-            if shard.attempts >= self.max_lease_attempts:
-                shard.error = (
-                    f"lease expired after {shard.attempts} grants "
-                    f"(last worker {lease.worker!r}); giving up on the shard"
-                )
-                shard.set_state("failed")
-            else:
-                shard.worker = None
-                shard.set_state("pending")
-                self.ledger.offer(job, shard)
-                self.ledger.counters["requeued"] += 1
+            self._retry_or_fail(
+                job,
+                shard,
+                f"lease expired after {shard.attempts} grants "
+                f"(last worker {lease.worker!r}); giving up on the shard",
+            )
         self.ledger.prune_available()
+
+    # ------------------------------------------------------------------ #
+    # Local slots: in-process lease clients
+    # ------------------------------------------------------------------ #
+    def _ensure_local_slots(self) -> None:
+        """Start (or restart) the ``workers`` local slot tasks on this loop."""
+        if self._closed:
+            return
+        alive = [task for task in self._local_slots if not task.done()]
+        while len(alive) < self.workers:
+            alive.append(asyncio.ensure_future(self._run_local_slot()))
+        self._local_slots = alive
+
+    async def _run_local_slot(self) -> None:
+        """Claim and execute shards as worker ``"local"`` until closed."""
+        while not self._closed:
+            leases = await self.acquire_leases("local")
+            if leases:
+                await self._execute_local(leases[0])
+                continue
+            # acquire_leases never yields, so no offer can land between
+            # the empty answer and this clear.
+            self.ledger.offered.clear()
+            await self.ledger.offered.wait()
+
+    async def _execute_local(self, lease: Dict[str, Any]) -> None:
+        """Run one leased shard on the local pool, heartbeating meanwhile."""
+        loop = asyncio.get_running_loop()
+        started = time.perf_counter()
+        interval = max(0.05, lease["ttl_s"] / 3)
+        try:
+            future = loop.run_in_executor(
+                self._executor(), execute_shard, lease["shard"]["spec"]
+            )
+            while not (await asyncio.wait({future}, timeout=interval))[0]:
+                await self.heartbeat_lease(lease["id"])
+            payload = future.result()
+        except Exception as error:  # noqa: BLE001 — reported via the lease
+            await self.fail_lease(lease["id"], f"{type(error).__name__}: {error}")
+            return
+        try:
+            await self.complete_lease(
+                lease["id"], payload, time.perf_counter() - started
+            )
+        except Exception:  # noqa: BLE001 — the shard was re-queued or failed
+            pass
 
     # ------------------------------------------------------------------ #
     async def _run_job(self, job: Job) -> None:
@@ -1111,11 +1130,9 @@ class JobManager:
             if job._cancelled:
                 raise asyncio.CancelledError
             pending = [shard for shard in job.shards if shard.state == "pending"]
-            job._tasks = [
-                asyncio.ensure_future(self._drive_shard(job, shard)) for shard in pending
-            ]
-            if job._tasks:
-                await asyncio.gather(*job._tasks, return_exceptions=True)
+            for shard in pending:
+                self.ledger.offer(job, shard)
+            await asyncio.gather(*(shard.wait_terminal() for shard in pending))
             if job._cancelled:
                 raise asyncio.CancelledError
             failed = [shard for shard in job.shards if shard.state == "failed"]
@@ -1127,7 +1144,7 @@ class JobManager:
             job.state = "completed"
         except asyncio.CancelledError:
             for shard in job.shards:
-                if shard.state in ("pending", "leased", "running"):
+                if shard.state in ("pending", "leased"):
                     shard.set_state("cancelled")
             job.state = "cancelled"
         except Exception as error:  # noqa: BLE001 — job must reach a terminal state
@@ -1141,65 +1158,6 @@ class JobManager:
             for shard in job.shards:
                 shard.payload = None  # free assembled payloads
             job._done.set()
-
-    async def _drive_shard(self, job: Job, shard: ShardRun) -> None:
-        """Own one shard's lifecycle until it reaches a terminal state.
-
-        The shard is offered to the fleet immediately and stays claimable
-        the whole time it is ``pending``; when a local pool exists, this
-        task also competes for it through the worker-count semaphore.
-        Whoever claims first wins — a lease flips the state to ``leased``
-        and this task just waits for the remote completion (or for the
-        expiry sweep to hand the shard back).
-        """
-        self.ledger.offer(job, shard)
-        try:
-            while True:
-                if shard.state in SHARD_TERMINAL:
-                    return
-                if shard.state == "pending" and self.workers >= 1:
-                    if await self._try_run_local(job, shard):
-                        return
-                    continue  # lost the claim — re-read the state
-                await shard.state_changed()
-        except asyncio.CancelledError:
-            if shard.state in ("pending", "leased", "running"):
-                shard.set_state("cancelled")
-            raise
-
-    async def _try_run_local(self, job: Job, shard: ShardRun) -> bool:
-        """Execute one shard on the local pool if it is still unclaimed.
-
-        Admission goes through the worker-count semaphore, so a shard is
-        ``pending`` while it waits for a slot and ``running`` only while a
-        worker actually holds it — the progress a job reports distinguishes
-        queued work from in-flight work truthfully.  Returns ``False``
-        when the fleet claimed (or finished) the shard while this task was
-        waiting for a slot.
-        """
-        loop = asyncio.get_running_loop()
-        assert self._slots is not None  # created by submit() when workers >= 1
-        async with self._slots:
-            if shard.state != "pending":
-                return False
-            shard.worker = "local"
-            shard.set_state("running")
-            started = time.perf_counter()
-            try:
-                payload = await loop.run_in_executor(
-                    self._executor(), execute_shard, shard.plan.spec.to_dict()
-                )
-                shard.key = await loop.run_in_executor(
-                    None, lambda: self.store.put_payload(payload, flush_index=False)
-                )
-                shard.payload = payload
-                shard.seconds = time.perf_counter() - started
-                shard.set_state("completed")
-            except Exception as error:  # noqa: BLE001 — reported via job state
-                shard.seconds = time.perf_counter() - started
-                shard.error = f"{type(error).__name__}: {error}"
-                shard.set_state("failed")
-            return True
 
     def _assemble(self, job: Job) -> str:
         """Concatenate shard payloads in plan order and store the result.

@@ -224,9 +224,10 @@ class ResultServer:
 
     Micro-batched ``evaluate`` dispatches run on a dedicated single-thread
     executor (CPU-bound work never blocks the event loop); campaigns run
-    as sharded jobs on the :class:`~repro.service.jobs.JobManager` worker
-    pool (``workers`` processes, or one background thread when 1), so one
-    large campaign no longer blocks other campaigns or evaluates.
+    as sharded jobs on the :class:`~repro.service.jobs.JobManager`'s
+    local slots (``workers`` processes, or one background thread when 1)
+    and any fleet workers, so one large campaign no longer blocks other
+    campaigns or evaluates.
     """
 
     #: Declarative route table: ``(method, pattern, handler name)``.
@@ -408,7 +409,7 @@ class ResultServer:
         )
         registry.gauge(
             "repro_fleet_leases",
-            "Fleet lease counters (granted/completed/failed/expired/...).",
+            "Lease counters, local slots and fleet workers (granted/completed/...).",
             ("event",),
             callback=lambda: {
                 (event,): count
@@ -417,12 +418,12 @@ class ResultServer:
         )
         registry.gauge(
             "repro_fleet_active_leases",
-            "Leases currently held by fleet workers.",
+            "Leases currently held by local slots and fleet workers.",
             callback=lambda: len(self.jobs.ledger._leases),
         )
         registry.gauge(
             "repro_fleet_workers_seen",
-            "Distinct fleet workers the ledger remembers.",
+            "Distinct lease holders the ledger remembers (local slots as 'local').",
             callback=lambda: self.jobs.ledger.stats()["workers_seen"],
         )
         registry.gauge(
@@ -1231,13 +1232,13 @@ def serve(
 ) -> int:
     """Blocking entry point used by ``python -m repro serve``.
 
-    ``workers`` sizes the local campaign-job shard pool (0 = no local
+    ``workers`` is the number of local shard slots (0 = no local
     execution, shards run only on the worker fleet; 1 = a single
     background thread, the pre-sharding behaviour; >= 2 = a process
     pool), ``shard_entries`` caps grid entries per shard (see
-    :mod:`repro.service.jobs`) and ``lease_ttl_s`` is how long a fleet
-    worker's lease survives without a heartbeat before its shard
-    re-queues.  ``metrics=False`` disables the registry and the
+    :mod:`repro.service.jobs`) and ``lease_ttl_s`` is how long a lease
+    — local slot or fleet worker — survives without a heartbeat before
+    its shard re-queues.  ``metrics=False`` disables the registry and the
     ``/metrics`` + ``/v1/stats`` endpoints; ``max_pending_evals`` /
     ``max_pending_jobs`` bound the evaluate and job admission queues
     (full queues answer 429 with ``Retry-After``).

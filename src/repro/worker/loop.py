@@ -7,8 +7,11 @@ lease state and the :class:`~repro.worker.leases.WorkerLease` state
 machine is enforced without locks.  Shard execution (the CPU work) runs
 on a ``ThreadPoolExecutor`` of ``concurrency`` threads, each thread
 evaluating a shard through :func:`repro.service.jobs.execute_shard` —
-the identical entry point the server's local pool uses, which is what
-keeps fleet results bit-identical to single-host runs.
+the identical entry point the server's local slots use, which is what
+keeps fleet results bit-identical to single-host runs.  The server's
+local slots are lease clients too, in-process: they acquire, heartbeat
+at the same ``ttl / 3`` cadence and complete through the same
+``JobManager`` lease calls this loop reaches over HTTP.
 
 The loop is deliberately pull-based and stateless across restarts: a
 worker that crashes simply stops heartbeating, its leases expire

@@ -8,6 +8,7 @@ route without updating the docs fails CI — in either direction.
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
@@ -65,3 +66,16 @@ def test_doc_mentions_error_shape_and_statuses():
     assert '{"error"' in text, "the shared error shape must be documented"
     for status in ("400", "404", "405", "500", "202"):
         assert status in text, f"status code {status} undocumented"
+
+
+SHARD_COUNTS = re.compile(r'"shards":\s*(\{[^{}]*\})')
+
+
+def test_shard_count_examples_match_shard_states():
+    """Every ``"shards": {…}`` example lists exactly the scheduler's states."""
+    from repro.service.jobs import SHARD_STATES
+
+    examples = [json.loads(match) for match in SHARD_COUNTS.findall(DOC.read_text())]
+    assert len(examples) >= 2, "the job endpoints' shard-count examples are gone"
+    for example in examples:
+        assert set(example) == set(SHARD_STATES + ("total",)), example

@@ -18,6 +18,7 @@ import http.client
 import json
 import pickle
 import threading
+import time
 
 import pytest
 
@@ -236,7 +237,7 @@ def test_cancel_mid_campaign_leaves_store_consistent(tmp_path):
     assert job.state == "cancelled"
     counts = job.shard_counts()
     assert counts["cancelled"] >= 1
-    assert counts["pending"] == counts["running"] == 0
+    assert counts["pending"] == counts["leased"] == 0
     assert job.finished is not None
 
     # The store holds only whole, loadable shard results — every shard the
@@ -331,6 +332,38 @@ def test_failed_shard_fails_the_job_with_the_scalar_error(tmp_path):
     assert job.state == "failed"
     assert "multiplier budget 1" in job.error
     assert job.key is None
+
+
+def test_local_slot_heartbeats_a_shard_past_its_lease_ttl(tmp_path, monkeypatch):
+    """A local shard that outlasts the TTL keeps its lease: no expiry."""
+    import repro.service.jobs as jobs_module
+
+    real = jobs_module.execute_shard
+
+    def slow_execute_shard(spec_payload):
+        time.sleep(0.6)  # three lease TTLs
+        return real(spec_payload)
+
+    monkeypatch.setattr(jobs_module, "execute_shard", slow_execute_shard)
+    spec = ExperimentSpec(networks=("alexnet",), sweeps=SPEC.sweeps, name="jobs-slow")
+
+    async def scenario():
+        store = ResultStore(tmp_path)
+        manager = JobManager(store, workers=1, lease_ttl_s=0.2)
+        try:
+            job = await manager.submit(spec)
+            await job.wait(timeout=60)
+            return job, dict(manager.ledger.counters)
+        finally:
+            await manager.close()
+
+    job, counters = run_async(scenario())
+    assert job.state == "completed", job.error
+    [shard] = job.shards
+    assert shard.worker == "local"
+    assert shard.attempts == 1
+    assert counters["expired"] == 0
+    assert counters["heartbeats"] >= 1
 
 
 # --------------------------------------------------------------------- #

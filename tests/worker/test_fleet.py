@@ -416,6 +416,45 @@ def test_invalid_completion_payload_requeues_shard(tmp_path):
     run_async(scenario())
 
 
+def test_invalid_completions_exhaust_the_attempt_budget(tmp_path):
+    """A claimant that keeps returning the wrong shard fails the job."""
+
+    async def scenario():
+        store = ResultStore(tmp_path)
+        manager = JobManager(
+            store, workers=0, max_entries_per_shard=100, max_lease_attempts=2
+        )
+        try:
+            job = await manager.submit(SPEC)
+            await asyncio.sleep(0.05)
+            first, second = await manager.acquire_leases("w1", count=2)
+            loop = asyncio.get_running_loop()
+            wrong = await loop.run_in_executor(
+                None, execute_shard, second["shard"]["spec"]
+            )
+            index = first["shard"]["index"]
+            with pytest.raises(ValueError, match="fingerprints to"):
+                await manager.complete_lease(first["id"], wrong, 0.01)
+            assert job.shards[index].state == "pending"
+            [retry] = await manager.acquire_leases("w1", count=1)
+            assert retry["shard"]["index"] == index
+            with pytest.raises(ValueError, match="fingerprints to"):
+                await manager.complete_lease(retry["id"], wrong, 0.01)
+            assert job.shards[index].state == "failed"
+            assert await manager.acquire_leases("w1", count=1) == []
+            # The job settles once the other shard does.
+            await manager.complete_lease(second["id"], wrong, 0.01)
+            await job.wait(60)
+            assert job.state == "failed"
+            assert "invalid completion after 2 grants" in job.error
+            assert "fingerprints to" in job.error
+            assert len(store) == 1  # only the valid completion was stored
+        finally:
+            await manager.close()
+
+    run_async(scenario())
+
+
 # --------------------------------------------------------------------- #
 # Cancel + store consistency, resume, mixed pools
 # --------------------------------------------------------------------- #
@@ -528,6 +567,14 @@ def test_local_pool_and_fleet_cooperate(tmp_path, reference):
             assert all(
                 s.worker in ("local", "remote") for s in job.shards
             ), [s.worker for s in job.shards]
+            # Local slots are lease clients too: every shard, whoever ran
+            # it, was granted and completed through the ledger.
+            counters = manager.ledger.counters
+            assert counters["granted"] == counters["completed"] == len(job.shards)
+            local = sum(1 for s in job.shards if s.worker == "local")
+            if local:
+                workers = manager.ledger._workers
+                assert workers["local"]["leases_granted"] == local
             return store.get(job.key)
         finally:
             await manager.close()
