@@ -38,7 +38,8 @@ from conftest import emit, record_trend
 
 from repro.core.design_space import SweepSpec
 from repro.core.pareto import pareto_front
-from repro.dse import Campaign, ExecutorConfig
+from repro.dse import ExecutorConfig
+from repro.experiments import ExperimentSpec, run_experiment
 from repro.reporting import format_table
 from repro.winograd.quantized import calibrated_error, clear_calibration
 
@@ -69,13 +70,13 @@ DEFAULT_RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_dse.json"
 
 
 def test_accuracy_axis_tradeoff(benchmark):
-    campaign = Campaign(networks=(NETWORK,), devices=(DEVICE,), sweeps=(SPEC,))
+    spec = ExperimentSpec(networks=(NETWORK,), devices=(DEVICE,), sweeps=(SPEC,))
     vectorized = ExecutorConfig(mode="vectorized")
 
     # Cold: the first sweep in a process pays for the calibration table.
     clear_calibration()
     started = time.perf_counter()
-    result = campaign.run(cache=False, executor=vectorized)
+    result = run_experiment(spec, cache=False, executor=vectorized)
     cold_seconds = time.perf_counter() - started
 
     # Warm: every later sweep reuses the memoised per-(m, r, bit_width)
@@ -83,9 +84,9 @@ def test_accuracy_axis_tradeoff(benchmark):
     warm_seconds = float("inf")
     for _ in range(2 if FAST else 3):
         started = time.perf_counter()
-        result = campaign.run(cache=False, executor=vectorized)
+        result = run_experiment(spec, cache=False, executor=vectorized)
         warm_seconds = min(warm_seconds, time.perf_counter() - started)
-    benchmark(lambda: campaign.run(cache=False, executor=vectorized))
+    benchmark(lambda: run_experiment(spec, cache=False, executor=vectorized))
 
     by_width = {width: [] for width in BIT_WIDTHS}
     for point in result.points:

@@ -27,7 +27,8 @@ from conftest import emit
 from repro.core.design_point import evaluate_design
 from repro.core.design_space import SweepSpec, frequency_range
 from repro.hw.calibration import DEFAULT_CALIBRATION
-from repro.dse import Campaign, EvaluationCache, ExecutorConfig, iter_explore
+from repro.dse import EvaluationCache, ExecutorConfig, iter_explore
+from repro.experiments import ExperimentSpec, run_experiment
 from repro.hw.device import get_device
 from repro.nn import get_network
 from repro.reporting import campaign_summary_table, format_table
@@ -92,20 +93,20 @@ def test_campaign_speedup_over_seed_loop(benchmark):
     seed_points = _seed_nested_loop(networks, devices, SPEC)
     seed_seconds = time.perf_counter() - started
 
-    campaign = Campaign(networks=tuple(networks), devices=tuple(devices), sweeps=(SPEC,))
+    spec = ExperimentSpec(networks=NETWORK_NAMES, devices=DEVICE_NAMES, sweeps=(SPEC,))
     cache = EvaluationCache()
 
     started = time.perf_counter()
-    result = campaign.run(cache=cache)
+    result = run_experiment(spec, cache=cache)
     engine_seconds = time.perf_counter() - started
     speedup = seed_seconds / engine_seconds
 
     # Steady-state: re-running the campaign against the now-warm cache.
-    warm_result = benchmark(lambda: campaign.run(cache=cache))
+    warm_result = benchmark(lambda: run_experiment(spec, cache=cache))
 
     emit(
         "DSE campaign engine vs seed nested loop "
-        f"({len(networks)} networks x {len(devices)} devices, {campaign.grid_size} configs)",
+        f"({len(networks)} networks x {len(devices)} devices, {spec.grid_size} configs)",
         format_table(
             [
                 {

@@ -2,7 +2,7 @@
 
 Runs the paper's full Fig. 6-scale campaign — 3 networks x 2 devices x
 (tile size ``m`` x multiplier budget x frequency) — through the same
-``Campaign`` twice:
+``ExperimentSpec`` twice:
 
 * the *scalar* path: ``ExecutorConfig(mode="serial")`` with a fresh
   :class:`~repro.dse.EvaluationCache` (memoised but cold, the strongest
@@ -33,7 +33,8 @@ from pathlib import Path
 from conftest import emit, record_trend
 
 from repro.core.design_space import SweepSpec, frequency_range
-from repro.dse import Campaign, EvaluationCache, ExecutorConfig
+from repro.dse import EvaluationCache, ExecutorConfig
+from repro.experiments import ExperimentSpec, run_experiment
 from repro.reporting import format_table
 
 FAST = os.environ.get("REPRO_BENCH_FAST") == "1"
@@ -68,39 +69,39 @@ else:
 DEFAULT_RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_dse.json"
 
 
-def _timed_runs(campaign, repeats, run_once):
+def _timed_runs(spec, repeats, run_once):
     """Best-of-N wall clock plus the result of the last run."""
     best = float("inf")
     result = None
     for _ in range(repeats):
         started = time.perf_counter()
-        result = run_once(campaign)
+        result = run_once(spec)
         best = min(best, time.perf_counter() - started)
     return best, result
 
 
 def test_vectorized_speedup_over_scalar(benchmark):
-    campaign = Campaign(networks=NETWORK_NAMES, devices=DEVICE_NAMES, sweeps=(SPEC,))
+    spec = ExperimentSpec(networks=NETWORK_NAMES, devices=DEVICE_NAMES, sweeps=(SPEC,))
 
     # Scalar reference: serial executor, memoised but cold cache per run.
     scalar_seconds, scalar_result = _timed_runs(
-        campaign,
+        spec,
         repeats=1 if FAST else 2,
-        run_once=lambda c: c.run(
-            cache=EvaluationCache(), executor=ExecutorConfig(mode="serial")
+        run_once=lambda s: run_experiment(
+            s, cache=EvaluationCache(), executor=ExecutorConfig(mode="serial")
         ),
     )
 
     vectorized = ExecutorConfig(mode="vectorized")
     vectorized_seconds, vectorized_result = _timed_runs(
-        campaign,
+        spec,
         repeats=2 if FAST else 3,
-        run_once=lambda c: c.run(cache=False, executor=vectorized),
+        run_once=lambda s: run_experiment(s, cache=False, executor=vectorized),
     )
-    benchmark(lambda: campaign.run(cache=False, executor=vectorized))
+    benchmark(lambda: run_experiment(spec, cache=False, executor=vectorized))
 
     speedup = scalar_seconds / vectorized_seconds
-    grid = campaign.grid_size
+    grid = spec.grid_size
     emit(
         "Vectorized batch engine vs scalar serial path "
         f"({len(NETWORK_NAMES)} networks x {len(DEVICE_NAMES)} devices, {grid} configs)",
@@ -166,9 +167,13 @@ def test_vectorized_matches_serial_without_cache():
         frequencies_mhz=(100.0, 250.0),
         shared_data_transform=(True, False),
     )
-    campaign = Campaign(networks=("vgg16-d", "alexnet"), devices=DEVICE_NAMES, sweeps=(spec,))
-    serial = campaign.run(cache=False, executor=ExecutorConfig(mode="serial"))
-    vectorized = campaign.run(cache=False, executor=ExecutorConfig(mode="vectorized"))
+    experiment = ExperimentSpec(
+        networks=("vgg16-d", "alexnet"), devices=DEVICE_NAMES, sweeps=(spec,)
+    )
+    serial = run_experiment(experiment, cache=False, executor=ExecutorConfig(mode="serial"))
+    vectorized = run_experiment(
+        experiment, cache=False, executor=ExecutorConfig(mode="vectorized")
+    )
     assert [pickle.dumps(point) for point in serial.points] == [
         pickle.dumps(point) for point in vectorized.points
     ]

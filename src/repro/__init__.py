@@ -26,7 +26,7 @@ Subpackages
 ``repro.dse``
     Campaign-scale evaluation engine: a memoised evaluation layer, a
     serial oracle and a bit-identical vectorized NumPy batch executor, and
-    ``Campaign``/``CampaignResult`` aggregation (per-network Pareto fronts,
+    ``CampaignResult`` aggregation (per-network Pareto fronts,
     best-by-metric picks, comparison tables).
 ``repro.experiments``
     The declarative experiment layer: ``ExperimentSpec`` (a frozen,
@@ -68,9 +68,7 @@ True
 >>> path = result.save("result.json")        # doctest: +SKIP
 
 The same spec runs from a file via the CLI: ``python -m repro run
-spec.json -o result.json`` (see ``python -m repro --help``).  The legacy
-``Campaign``/``explore`` entry points remain as thin shims over this API
-with identical signatures, ordering and results.
+spec.json -o result.json`` (see ``python -m repro --help``).
 """
 
 from .core import (
@@ -98,13 +96,11 @@ from .core import (
     transform_complexity,
 )
 from .dse import (
-    Campaign,
     CampaignResult,
     EvaluationCache,
     ExecutorConfig,
     evaluate_design_cached,
     iter_explore,
-    run_campaign,
 )
 from .experiments import (
     ExperimentSpec,
@@ -195,13 +191,11 @@ __all__ = [
     "headline_claims",
     "HeadlineClaims",
     # dse
-    "Campaign",
     "CampaignResult",
     "EvaluationCache",
     "ExecutorConfig",
     "evaluate_design_cached",
     "iter_explore",
-    "run_campaign",
     # experiments
     "ExperimentSpec",
     "StrategySpec",

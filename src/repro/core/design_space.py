@@ -343,17 +343,18 @@ def explore(
         (NumPy batch, bit-identical results) execution; ``None`` uses the
         serial path.
     """
-    from ..dse.engine import explore_cached  # deferred: repro.dse builds on this module
+    from ..dse.engine import iter_explore  # deferred: repro.dse builds on this module
 
-    device = device or virtex7_485t()
-    return explore_cached(
-        network,
-        spec,
-        device=device,
-        calibration=calibration,
-        skip_infeasible=skip_infeasible,
-        cache=cache,
-        executor=executor,
+    return list(
+        iter_explore(
+            network,
+            spec,
+            devices=device or virtex7_485t(),
+            calibration=calibration,
+            skip_infeasible=skip_infeasible,
+            cache=cache,
+            executor=executor,
+        )
     )
 
 

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .design_point import DesignPoint
 
-__all__ = ["Objective", "dominates", "pareto_front", "pareto_rank"]
+__all__ = ["Objective", "dominates", "normalize_objectives", "pareto_front", "pareto_rank"]
 
 
 @dataclass(frozen=True)
@@ -43,19 +43,46 @@ class Objective:
 ObjectiveLike = Union[Objective, str, Tuple[str, bool]]
 
 
-def _normalize(objectives: Sequence[ObjectiveLike]) -> List[Objective]:
-    normalized: List[Objective] = []
+def normalize_objectives(
+    objectives: Union[ObjectiveLike, Sequence[ObjectiveLike]],
+) -> Tuple[Tuple[str, bool], ...]:
+    """Canonicalize objectives to ``(metric, maximize)`` pairs.
+
+    Accepts one objective or a sequence of them: :class:`Objective`
+    instances, bare metric names (maximized) and ``(metric, maximize)``
+    pairs.  A bare two-item ``("metric", maximize)`` pair is a single
+    objective, not two.  Raises ``ValueError`` on a malformed pair or an
+    empty sequence.
+    """
+    if isinstance(objectives, (str, Objective)):
+        objectives = (objectives,)
+    objectives = tuple(objectives)
+    if (
+        len(objectives) == 2
+        and isinstance(objectives[0], str)
+        and isinstance(objectives[1], bool)
+    ):
+        objectives = (objectives,)
+    normalized = []
     for objective in objectives:
         if isinstance(objective, Objective):
-            normalized.append(objective)
+            normalized.append((objective.metric, objective.maximize))
         elif isinstance(objective, str):
-            normalized.append(Objective(objective, True))
+            normalized.append((objective, True))
         else:
             metric, maximize = objective
-            normalized.append(Objective(metric, maximize))
+            if not isinstance(metric, str) or not isinstance(maximize, bool):
+                raise ValueError(
+                    f"objectives must be (metric, maximize) pairs, got {objective!r}"
+                )
+            normalized.append((metric, maximize))
     if not normalized:
         raise ValueError("at least one objective is required")
-    return normalized
+    return tuple(normalized)
+
+
+def _objectives(objectives: Sequence[ObjectiveLike]) -> List[Objective]:
+    return [Objective(metric, maximize) for metric, maximize in normalize_objectives(objectives)]
 
 
 def dominates(
@@ -66,9 +93,12 @@ def dominates(
     ``a`` dominates ``b`` when it is no worse in every objective and strictly
     better in at least one.
     """
-    objs = _normalize(objectives)
+    return _dominates(a, b, _objectives(objectives))
+
+
+def _dominates(a: DesignPoint, b: DesignPoint, objectives: List[Objective]) -> bool:
     strictly_better = False
-    for objective in objs:
+    for objective in objectives:
         value_a = objective.value(a)
         value_b = objective.value(b)
         if not objective.no_worse(value_a, value_b):
@@ -86,9 +116,10 @@ def pareto_front(
     The result preserves the input ordering of the surviving points.
     """
     points = list(points)
+    objs = _objectives(objectives)
     front: List[DesignPoint] = []
     for candidate in points:
-        if any(dominates(other, candidate, objectives) for other in points if other is not candidate):
+        if any(_dominates(other, candidate, objs) for other in points if other is not candidate):
             continue
         front.append(candidate)
     return front

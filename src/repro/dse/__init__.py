@@ -23,42 +23,30 @@ turns that into a campaign engine:
   grouped by cell and dispatched through the vectorized engine, one
   outcome per request — what the :mod:`repro.service` micro-batcher
   feeds;
-* :mod:`repro.dse.campaign` — :class:`Campaign` / :class:`CampaignResult`,
-  the campaign description and its aggregated outcome (per-network Pareto
-  fronts, best-by-metric picks, comparison tables, JSON ``save``/``load``).
+* :mod:`repro.dse.campaign` — :class:`CampaignResult`, the aggregated
+  outcome of an exploration (per-network Pareto fronts, best-by-metric
+  picks, comparison tables, JSON ``save``/``load``).
 
 This package is the *evaluation engine*; the declarative layer on top of it
 lives in :mod:`repro.experiments` (``ExperimentSpec`` + pluggable search
-strategies + the ``python -m repro`` CLI).  ``Campaign.run()`` and
-:func:`run_campaign` are thin shims over that API's exhaustive
-``GridStrategy`` — signatures, ordering and results are unchanged.
+strategies + ``run_experiment`` + the ``python -m repro`` CLI), the one way
+to describe and run an exploration.
 
 Quickstart — a 3-network x 2-device campaign:
 
->>> from repro.dse import Campaign
->>> result = Campaign(
+>>> from repro.experiments import ExperimentSpec, run_experiment
+>>> result = run_experiment(ExperimentSpec(
 ...     networks=("vgg16-d", "alexnet", "resnet18"),
 ...     devices=("xc7vx485t", "xc7vx690t"),
-... ).run()
+... ))
 >>> result.best("throughput_gops").name
 'F(7x7,3x3)-P11'
 """
 
 from .batch import BatchOutcome, EvalRequest, evaluate_requests
 from .cache import CacheStats, EvaluationCache, global_cache, network_fingerprint
-from .campaign import (
-    Campaign,
-    CampaignResult,
-    DEFAULT_OBJECTIVES,
-    METRIC_DIRECTIONS,
-    run_campaign,
-)
-from .engine import (
-    ExecutorConfig,
-    evaluate_design_cached,
-    explore_cached,
-    iter_explore,
-)
+from .campaign import CampaignResult, DEFAULT_OBJECTIVES, METRIC_DIRECTIONS
+from .engine import ExecutorConfig, evaluate_design_cached, iter_explore
 from .vectorized import (
     BatchResult,
     DOES_NOT_FIT,
@@ -78,13 +66,10 @@ __all__ = [
     "EvaluationCache",
     "global_cache",
     "network_fingerprint",
-    "Campaign",
     "CampaignResult",
     "DEFAULT_OBJECTIVES",
     "METRIC_DIRECTIONS",
-    "run_campaign",
     "ExecutorConfig",
     "evaluate_design_cached",
-    "explore_cached",
     "iter_explore",
 ]

@@ -1,46 +1,33 @@
-"""Campaign-scale design-space exploration.
+"""Evaluated explorations and their aggregate views.
 
-A :class:`Campaign` is the declarative description of a full exploration —
-the cross-product of networks x devices x sweep specifications — and a
-:class:`CampaignResult` is the evaluated outcome, with the aggregate views a
-DSE report needs: per-network Pareto fronts, best-by-metric picks and
+A :class:`CampaignResult` is the outcome of
+:func:`repro.experiments.run_experiment`, with the aggregate views a DSE
+report needs: per-network Pareto fronts, best-by-metric picks and
 cross-network comparison rows.
 
->>> from repro.dse import Campaign
->>> result = Campaign(
+>>> from repro.experiments import ExperimentSpec, run_experiment
+>>> result = run_experiment(ExperimentSpec(
 ...     networks=("vgg16-d", "alexnet"),
 ...     devices=("xc7vx485t", "xc7vx690t"),
-... ).run()
+... ))
 >>> best = result.best("throughput_gops")
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.design_point import DesignPoint
-from ..core.design_space import SweepSpec, best_by
-from ..core.pareto import Objective, ObjectiveLike, pareto_front
-from ..hw.calibration import Calibration, DEFAULT_CALIBRATION
-from ..hw.device import FpgaDevice
-from ..nn.model import Network
+from ..core.design_space import best_by
+from ..core.pareto import ObjectiveLike, normalize_objectives, pareto_front
 from .cache import CacheStats
-from .engine import (
-    CacheLike,
-    ExecutorConfig,
-    _ensure_tuple,
-    _normalize_devices,
-    _normalize_networks,
-    _normalize_specs,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; runtime import would cycle
     from ..experiments.spec import ExperimentSpec
 
-__all__ = ["Campaign", "CampaignResult", "run_campaign", "METRIC_DIRECTIONS"]
+__all__ = ["CampaignResult", "METRIC_DIRECTIONS"]
 
 #: Whether a named DesignPoint metric improves upward (True) or downward.
 METRIC_DIRECTIONS: Dict[str, bool] = {
@@ -66,84 +53,19 @@ def metric_direction(metric: str) -> bool:
     return METRIC_DIRECTIONS.get(metric, True)
 
 
-@dataclass(frozen=True)
-class Campaign:
-    """Declarative description of one exploration campaign.
-
-    ``networks`` and ``devices`` accept registry names as well as concrete
-    objects; ``sweeps`` is one or more :class:`SweepSpec` whose grids are
-    concatenated per (network, device) cell.
-    """
-
-    networks: Sequence[Union[Network, str]]
-    devices: Sequence[Union[FpgaDevice, str]] = ("xc7vx485t",)
-    sweeps: Sequence[SweepSpec] = (SweepSpec(),)
-    calibration: Calibration = DEFAULT_CALIBRATION
-    skip_infeasible: bool = True
-    objectives: Sequence[ObjectiveLike] = DEFAULT_OBJECTIVES
-    name: str = "campaign"
-
-    # ------------------------------------------------------------------ #
-    def __post_init__(self) -> None:
-        # Normalize the inputs exactly once (shared scalar-wrapping rules
-        # with iter_explore): one-shot iterables such as generators must
-        # survive being read by both grid_size and run().
-        object.__setattr__(self, "networks", _ensure_tuple(self.networks, (Network, str)))
-        object.__setattr__(self, "devices", _ensure_tuple(self.devices, (FpgaDevice, str)))
-        object.__setattr__(self, "sweeps", _ensure_tuple(self.sweeps, (SweepSpec,)))
-        objectives = _ensure_tuple(self.objectives, (str, Objective))
-        if (
-            len(objectives) == 2
-            and isinstance(objectives[0], str)
-            and isinstance(objectives[1], bool)
-        ):
-            # A single ("metric", maximize) pair, not two objectives.
-            objectives = (tuple(objectives),)
-        object.__setattr__(self, "objectives", objectives)
-
-    def resolved_networks(self) -> List[Network]:
-        """Concrete :class:`Network` objects (registry names resolved)."""
-        return _normalize_networks(self.networks)
-
-    def resolved_devices(self) -> List[FpgaDevice]:
-        """Concrete :class:`FpgaDevice` objects (registry names resolved)."""
-        return _normalize_devices(self.devices)
-
-    def resolved_sweeps(self) -> Tuple[SweepSpec, ...]:
-        """The campaign's sweeps as a validated tuple."""
-        return _normalize_specs(self.sweeps)
-
-    @property
-    def grid_size(self) -> int:
-        """Total number of configurations the campaign will evaluate."""
-        per_cell = sum(spec.size for spec in self.resolved_sweeps())
-        return len(self.networks) * len(self.devices) * per_cell
-
-    def run(
-        self,
-        cache: CacheLike = None,
-        executor: Optional[ExecutorConfig] = None,
-    ) -> "CampaignResult":
-        """Evaluate the campaign; see :func:`run_campaign`."""
-        return run_campaign(self, cache=cache, executor=executor)
-
-
 @dataclass
 class CampaignResult:
     """Evaluated campaign: every feasible design point plus aggregate views.
 
-    ``spec`` carries the declarative :class:`~repro.experiments.ExperimentSpec`
-    the run came from (set by :func:`repro.experiments.run_experiment`;
-    ``None`` for legacy ``Campaign.run()`` calls, where an equivalent spec is
-    derived on save), making every saved result a re-runnable artifact.
+    ``spec`` is the declarative :class:`~repro.experiments.ExperimentSpec`
+    the run came from, making every saved result a re-runnable artifact.
     """
 
-    campaign: Campaign
+    spec: "ExperimentSpec" = field(repr=False)
     points: List[DesignPoint]
     evaluations: int
     elapsed_seconds: float
     cache_stats: CacheStats = field(default_factory=CacheStats)
-    spec: Optional["ExperimentSpec"] = field(default=None, repr=False)
 
     # ------------------------------------------------------------------ #
     @property
@@ -200,8 +122,10 @@ class CampaignResult:
     def pareto_fronts(
         self, objectives: Optional[Sequence[ObjectiveLike]] = None
     ) -> Dict[str, List[DesignPoint]]:
-        """Per-network Pareto fronts on the campaign objectives."""
-        objectives = tuple(objectives or self.campaign.objectives)
+        """Per-network Pareto fronts on the spec's (or the given) objectives."""
+        objectives = (
+            self.spec.objectives if objectives is None else normalize_objectives(objectives)
+        )
         return {
             name: pareto_front(points, objectives)
             for name, points in self.by_network().items()
@@ -218,18 +142,6 @@ class CampaignResult:
         if maximize is None:
             maximize = metric_direction(metric)
         return best_by(self.select(network, device), metric, maximize=maximize)
-
-    def best_by_metric(
-        self, metrics: Sequence[str] = ("throughput_gops", "power_efficiency", "total_latency_ms")
-    ) -> Dict[str, Dict[str, DesignPoint]]:
-        """Per-network best picks for each named metric."""
-        return {
-            name: {
-                metric: best_by(points, metric, maximize=metric_direction(metric))
-                for metric in metrics
-            }
-            for name, points in self.by_network().items()
-        }
 
     # ------------------------------------------------------------------ #
     def summary_rows(self) -> List[Dict[str, Union[str, float, int]]]:
@@ -304,48 +216,3 @@ class CampaignResult:
         from ..experiments.persistence import load_result  # deferred: avoids cycle
 
         return load_result(path)
-
-
-def run_campaign(
-    campaign: Campaign,
-    cache: CacheLike = None,
-    executor: Optional[ExecutorConfig] = None,
-) -> CampaignResult:
-    """Evaluate every cell of ``campaign`` and aggregate the results.
-
-    A thin shim over the :mod:`repro.experiments` runner with the exhaustive
-    :class:`~repro.experiments.GridStrategy` — signatures, point ordering
-    and results are unchanged from the historical campaign engine (the
-    strategy streams through the same :func:`~repro.dse.engine.iter_explore`
-    core).  Uses the shared memoising evaluator (so overlapping grids across
-    sweeps and repeated campaigns are near-free).  Runs serially unless an
-    ``executor`` opting into the vectorized batch engine is given
-    (``ExecutorConfig(mode="auto")`` or ``"vectorized"``; the vectorized
-    engine evaluates whole cells as NumPy array operations with
-    bit-identical results).  ``cache_stats`` on the result counts this
-    run's cache traffic (approximate if other threads share the same cache
-    concurrently); it stays zero when ``cache=False``.
-    """
-    from ..experiments.runner import Evaluator  # deferred: avoids import cycle
-    from ..experiments.strategies import GridStrategy
-
-    evaluator = Evaluator(
-        networks=campaign.resolved_networks(),
-        devices=campaign.resolved_devices(),
-        sweeps=campaign.resolved_sweeps(),
-        calibration=campaign.calibration,
-        skip_infeasible=campaign.skip_infeasible,
-        objectives=campaign.objectives,
-        cache=cache,
-        executor=executor,
-    )
-    started = time.perf_counter()
-    points = list(GridStrategy().search(None, evaluator))
-    elapsed = time.perf_counter() - started
-    return CampaignResult(
-        campaign=campaign,
-        points=points,
-        evaluations=campaign.grid_size,
-        elapsed_seconds=elapsed,
-        cache_stats=evaluator.stats,
-    )

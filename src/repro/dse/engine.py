@@ -35,7 +35,6 @@ __all__ = [
     "chunk_entries",
     "evaluate_design_cached",
     "iter_explore",
-    "explore_cached",
 ]
 
 NetworkLike = Union[Network, str]
@@ -431,26 +430,3 @@ def iter_explore(
             delta = shared_cache.total.delta_since(before)
             stats_out.hits += delta.hits
             stats_out.misses += delta.misses
-
-
-def explore_cached(
-    network: Network,
-    spec: SweepSpec = SweepSpec(),
-    device: Optional[FpgaDevice] = None,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    skip_infeasible: bool = True,
-    cache: CacheLike = None,
-    executor: Optional[ExecutorConfig] = None,
-) -> List[DesignPoint]:
-    """List-returning single-network sweep used by ``repro.core.explore``."""
-    return list(
-        iter_explore(
-            network,
-            spec,
-            devices=device,
-            calibration=calibration,
-            skip_infeasible=skip_infeasible,
-            cache=cache,
-            executor=executor,
-        )
-    )

@@ -9,7 +9,7 @@ separate from the solver that executes it:
   calibration, executor/cache settings) with a lossless JSON round-trip;
 * :mod:`repro.experiments.strategies` — the :class:`SearchStrategy`
   protocol and the built-in solvers: exhaustive :class:`GridStrategy`
-  (byte-identical to the legacy ``Campaign.run()``), seeded
+  (byte-identical across executor modes), seeded
   :class:`RandomStrategy` subsampling, and :class:`ParetoRefineStrategy`
   (coarse pass + front-neighbourhood refinement — near-identical Pareto
   fronts for materially fewer evaluations);

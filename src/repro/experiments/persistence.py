@@ -1,7 +1,6 @@
 """Versioned JSON persistence for evaluated campaign results.
 
-A saved result embeds the declarative :class:`ExperimentSpec` it came from
-(derived from the legacy ``Campaign`` when the run predates the spec API),
+A saved result embeds the declarative :class:`ExperimentSpec` it came from,
 every feasible :class:`DesignPoint` and the run bookkeeping — enough to
 reload, re-analyse and re-report without re-evaluating anything, or to diff
 two runs of the same spec.
@@ -137,10 +136,9 @@ def point_from_dict(data: dict) -> DesignPoint:
 
 def result_to_dict(result: CampaignResult) -> dict:
     """JSON-ready representation of a whole evaluated campaign."""
-    spec = result.spec or ExperimentSpec.from_campaign(result.campaign)
     return {
         "schema": RESULT_SCHEMA,
-        "spec": spec.to_dict(),
+        "spec": result.spec.to_dict(),
         "evaluations": result.evaluations,
         "elapsed_seconds": result.elapsed_seconds,
         "cache_stats": {
@@ -176,14 +174,13 @@ def result_from_dict(data: dict) -> CampaignResult:
     spec = ExperimentSpec.from_dict(data["spec"])
     stats = data.get("cache_stats") or {}
     return CampaignResult(
-        campaign=spec.to_campaign(),
+        spec=spec,
         points=[point_from_dict(point) for point in data.get("points", [])],
         evaluations=data.get("evaluations", 0),
         elapsed_seconds=data.get("elapsed_seconds", 0.0),
         cache_stats=CacheStats(
             hits=stats.get("hits", 0), misses=stats.get("misses", 0)
         ),
-        spec=spec,
     )
 
 

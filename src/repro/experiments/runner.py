@@ -10,9 +10,7 @@ and the optional vectorized executor — and keeps the bookkeeping
 :func:`run_experiment` ties it together: resolve the spec's strategy, hand
 it an evaluator, collect the points into a
 :class:`~repro.dse.campaign.CampaignResult` (with the spec embedded for
-persistence).  The legacy ``Campaign.run()``/``run_campaign`` entry points
-are thin shims over the same machinery with :class:`GridStrategy`, so both
-vocabularies produce byte-identical results.
+persistence).
 """
 
 from __future__ import annotations
@@ -51,8 +49,7 @@ class Evaluator:
     Bulk path: :meth:`iter_grid` streams the full cross-product through
     :func:`repro.dse.engine.iter_explore`, which honours the configured
     executor (serial oracle or vectorized NumPy batch) — this is what
-    :class:`GridStrategy` uses and is byte-identical to the legacy campaign
-    engine in every mode.
+    :class:`GridStrategy` uses and is byte-identical in every mode.
 
     Bookkeeping: ``evaluations`` counts grid entries probed (feasible or
     not) and ``stats`` accumulates this run's cache hits/misses.
@@ -90,8 +87,7 @@ class Evaluator:
             cache if isinstance(cache, EvaluationCache) else global_cache()
         ) if self._use_cache else False
         # Fingerprints memoise lazily on first per-point probe: grid-only
-        # runs (the legacy Campaign path) never need them here, and
-        # iter_explore computes its own.
+        # runs never need them here, and iter_explore computes its own.
         self._fingerprints: dict = {}
 
     # ------------------------------------------------------------------ #
@@ -189,9 +185,9 @@ def run_experiment(
         Overrides the spec's strategy with a concrete instance — handy for
         strategies that are not (yet) registered by name.
 
-    Returns the same :class:`~repro.dse.campaign.CampaignResult` the legacy
-    campaign API produces, with ``result.spec`` set so
-    ``result.save(path)`` persists a fully re-runnable artifact.
+    Returns a :class:`~repro.dse.campaign.CampaignResult` with
+    ``result.spec`` set, so ``result.save(path)`` persists a fully
+    re-runnable artifact.
     """
     if not isinstance(spec, ExperimentSpec):
         raise TypeError(f"expected an ExperimentSpec, got {type(spec).__name__}")
@@ -212,10 +208,9 @@ def run_experiment(
     points = list(solver.search(spec, evaluator))
     elapsed = time.perf_counter() - started
     return CampaignResult(
-        campaign=spec.to_campaign(),
+        spec=spec,
         points=points,
         evaluations=evaluator.evaluations,
         elapsed_seconds=elapsed,
         cache_stats=evaluator.stats,
-        spec=spec,
     )

@@ -25,8 +25,8 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from ..core.design_space import SweepSpec
-from ..core.pareto import Objective, ObjectiveLike
-from ..dse.campaign import Campaign, DEFAULT_OBJECTIVES
+from ..core.pareto import ObjectiveLike, normalize_objectives
+from ..dse.campaign import DEFAULT_OBJECTIVES
 from ..dse.engine import ExecutorConfig
 from ..hw.calibration import (
     Calibration,
@@ -204,38 +204,6 @@ def executor_from_dict(data: Optional[dict]) -> Optional[ExecutorConfig]:
         raise ValueError(f"invalid executor config: {error}") from None
 
 
-def _normalize_objectives(
-    objectives: Sequence[ObjectiveLike],
-) -> Tuple[Tuple[str, bool], ...]:
-    """Canonicalize objectives to ``(metric, maximize)`` pairs."""
-    if isinstance(objectives, (str, Objective)):
-        objectives = (objectives,)
-    objectives = tuple(objectives)
-    if (
-        len(objectives) == 2
-        and isinstance(objectives[0], str)
-        and isinstance(objectives[1], bool)
-    ):
-        # A single bare ("metric", maximize) pair, matching Campaign's rule.
-        objectives = (tuple(objectives),)
-    normalized = []
-    for objective in objectives:
-        if isinstance(objective, Objective):
-            normalized.append((objective.metric, objective.maximize))
-        elif isinstance(objective, str):
-            normalized.append((objective, True))
-        else:
-            metric, maximize = objective
-            if not isinstance(metric, str) or not isinstance(maximize, bool):
-                raise ValueError(
-                    f"objectives must be (metric, maximize) pairs, got {objective!r}"
-                )
-            normalized.append((metric, maximize))
-    if not normalized:
-        raise ValueError("at least one objective is required")
-    return tuple(normalized)
-
-
 def _name_tuple(values: Any, what: str) -> Tuple[str, ...]:
     if isinstance(values, (str, Network, FpgaDevice)):
         values = (values,)
@@ -314,7 +282,7 @@ class ExperimentSpec:
                 f"strategy must be a StrategySpec or name, got {type(strategy).__name__}"
             )
         object.__setattr__(self, "strategy", strategy)
-        object.__setattr__(self, "objectives", _normalize_objectives(self.objectives))
+        object.__setattr__(self, "objectives", normalize_objectives(self.objectives))
         metrics = (self.metrics,) if isinstance(self.metrics, str) else tuple(self.metrics)
         if not metrics or not all(isinstance(metric, str) and metric for metric in metrics):
             raise ValueError("metrics must be a non-empty sequence of metric names")
@@ -371,40 +339,6 @@ class ExperimentSpec:
             if key not in self.EXECUTION_ONLY_FIELDS
         }
         return canonical_json_hash(data)
-
-    # ------------------------------------------------------------------ #
-    def to_campaign(self) -> Campaign:
-        """Equivalent legacy :class:`Campaign` (grid semantics) for reporting."""
-        return Campaign(
-            networks=self.networks,
-            devices=self.devices,
-            sweeps=self.sweeps,
-            calibration=self.calibration,
-            skip_infeasible=self.skip_infeasible,
-            objectives=self.objectives,
-            name=self.name,
-        )
-
-    @classmethod
-    def from_campaign(
-        cls, campaign: Campaign, strategy: Union[StrategySpec, str] = "grid"
-    ) -> "ExperimentSpec":
-        """Declarative spec equivalent to a legacy :class:`Campaign`.
-
-        Concrete ``Network``/``FpgaDevice`` objects are recorded by name;
-        re-running the spec resolves those names through the registries, so
-        unregistered ad-hoc objects must be registered first.
-        """
-        return cls(
-            networks=campaign.networks,
-            devices=campaign.devices,
-            sweeps=campaign.resolved_sweeps(),
-            strategy=strategy,
-            objectives=campaign.objectives,
-            skip_infeasible=campaign.skip_infeasible,
-            calibration=campaign.calibration,
-            name=campaign.name,
-        )
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:

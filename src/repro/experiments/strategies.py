@@ -10,8 +10,8 @@ lives behind the :class:`~repro.experiments.runner.Evaluator` handed to
 — so a new solver (simulated annealing, Bayesian optimisation, a service
 backend) plugs in by registering one class:
 
-* :class:`GridStrategy` — exhaustive enumeration, byte-identical to the
-  legacy ``Campaign.run()`` results (same points, same order);
+* :class:`GridStrategy` — exhaustive enumeration in canonical order,
+  byte-identical across executor modes;
 * :class:`RandomStrategy` — seeded subsampling of huge grids, preserving
   canonical ordering of the chosen entries;
 * :class:`ParetoRefineStrategy` — a coarse strided pass over every sweep
@@ -67,8 +67,7 @@ __all__ = [
 class SearchStrategy(Protocol):
     """Protocol every search strategy implements.
 
-    ``spec`` is the declarative experiment (``None`` when driven through the
-    legacy ``Campaign`` shim); ``evaluate`` is the experiment's
+    ``spec`` is the declarative experiment; ``evaluate`` is the experiment's
     :class:`~repro.experiments.runner.Evaluator` — call it with
     ``(network, device, entry)`` for one configuration (``None`` means the
     entry was infeasible and skipped), or use its bulk helpers
@@ -77,7 +76,7 @@ class SearchStrategy(Protocol):
     """
 
     def search(
-        self, spec: "Optional[ExperimentSpec]", evaluate: "Evaluator"
+        self, spec: "ExperimentSpec", evaluate: "Evaluator"
     ) -> Iterator[DesignPoint]:
         """Yield the design points this strategy chooses to evaluate."""
         ...
@@ -88,12 +87,12 @@ class GridStrategy:
     """Exhaustive enumeration of the full grid in canonical order.
 
     Delegates to the evaluator's streaming grid walk, which routes through
-    the same cached (and optionally vectorized) engine the legacy
-    ``Campaign.run()`` used — results are byte-identical to it.
+    the cached (and optionally vectorized) engine — results are
+    byte-identical in every executor mode.
     """
 
     def search(
-        self, spec: "Optional[ExperimentSpec]", evaluate: "Evaluator"
+        self, spec: "ExperimentSpec", evaluate: "Evaluator"
     ) -> Iterator[DesignPoint]:
         """Stream the full grid through the executor-aware bulk path."""
         return evaluate.iter_grid()
@@ -120,7 +119,7 @@ class RandomStrategy:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
     def search(
-        self, spec: "Optional[ExperimentSpec]", evaluate: "Evaluator"
+        self, spec: "ExperimentSpec", evaluate: "Evaluator"
     ) -> Iterator[DesignPoint]:
         """Evaluate the seeded entry subsample on every cell, grid order."""
         entries = evaluate.grid_entries()
@@ -193,7 +192,7 @@ class ParetoRefineStrategy:
                 raise ValueError(f"{label} must be an integer >= 1, got {value!r}")
 
     def search(
-        self, spec: "Optional[ExperimentSpec]", evaluate: "Evaluator"
+        self, spec: "ExperimentSpec", evaluate: "Evaluator"
     ) -> Iterator[DesignPoint]:
         """Coarse pass + Pareto-front neighbourhood refinement per cell."""
         objectives = evaluate.objectives

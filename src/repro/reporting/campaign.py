@@ -44,9 +44,8 @@ def campaign_summary_table(result, title: Optional[str] = None, precision: int =
     throughput / power-efficiency / latency picks.
     """
     if title is None:
-        result_name = result.campaign.name
         title = (
-            f"Campaign {result_name!r}: {result.feasible}/{result.evaluations} "
+            f"Campaign {result.spec.name!r}: {result.feasible}/{result.evaluations} "
             f"feasible points in {result.elapsed_seconds * 1e3:.1f} ms "
             f"(cache hit rate {result.cache_stats.hit_rate:.0%})"
         )
@@ -96,13 +95,12 @@ def campaign_report_payload(result, metric: Optional[str] = None) -> Dict[str, A
     server returns for a stored result's ``/report`` endpoint.
 
     ``metric`` picks the comparison metric (defaults to the embedded
-    spec's first metric, falling back to throughput).
+    spec's first metric).
     """
-    spec = getattr(result, "spec", None)
     if metric is None:
-        metric = spec.metrics[0] if spec is not None else "throughput_gops"
+        metric = result.spec.metrics[0]
     return {
-        "name": result.campaign.name,
+        "name": result.spec.name,
         "evaluations": result.evaluations,
         "feasible": result.feasible,
         "elapsed_seconds": result.elapsed_seconds,

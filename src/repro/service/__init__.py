@@ -8,8 +8,8 @@ design-point questions into micro-batched vectorized evaluations:
   content-addressed store of campaign results (binary columnar segments
   memory-mapped for zero-copy vectorized queries, legacy JSONL segments
   imported once on open, plus a rebuildable index keyed by spec
-  fingerprint, network and device) with ``put``/``get``/``query``/
-  ``pareto``/``best``/``latest`` and compaction;
+  fingerprint, network and device) with ``put``/``get``/``records``/
+  ``query_page``/``pareto``/``best`` and compaction;
 * :mod:`repro.service.queryspec` — :class:`QuerySpec`, the frozen
   JSON-round-trippable description of a read (result selection, ``where``
   filters, sort, ``select`` projection, top-k, ``limit``/``cursor``

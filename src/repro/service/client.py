@@ -235,42 +235,6 @@ class ServiceClient:
                 return
             body = dict(body, cursor=cursor)
 
-    def query(
-        self,
-        key: Optional[str] = None,
-        fingerprint: Optional[str] = None,
-        network: Optional[str] = None,
-        device: Optional[str] = None,
-        name: Optional[str] = None,
-        metric: Optional[str] = None,
-        top_k: Optional[int] = None,
-        maximize: Optional[bool] = None,
-        where: Optional[List] = None,
-        select: Optional[List[str]] = None,
-        limit: Optional[int] = None,
-        cursor: Optional[str] = None,
-    ) -> List[Any]:
-        """Filtered (optionally metric-sorted, top-k) points of a result.
-
-        The legacy keyword shim over the :class:`QuerySpec` surface.
-        Without ``limit``/``cursor`` every row is returned (cursors are
-        followed internally); with them, exactly one page.  ``where``
-        adds column filters and ``select`` projects flat rows instead of
-        full points.
-        """
-        body = _drop_none({
-            "key": key, "fingerprint": fingerprint, "network": network,
-            "device": device, "name": name, "metric": metric, "top_k": top_k,
-            "maximize": maximize, "where": where, "select": select,
-            "limit": limit, "cursor": cursor,
-        })
-        if limit is None and cursor is None:
-            return list(self.iter_query(**body))
-        payload = self._request("POST", "/v1/query", body)
-        if select:
-            return payload["points"]
-        return [point_from_dict(point) for point in payload["points"]]
-
     def pareto_page(
         self, spec: Optional[QuerySpec] = None, **fields: Any
     ) -> Dict[str, Any]:

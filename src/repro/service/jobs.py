@@ -1105,23 +1105,24 @@ class JobManager:
         try:
             if job._cancelled:
                 raise asyncio.CancelledError
+            # Resume from the store in one index pass over the job's and
+            # every shard's fingerprint.
+            stored = await loop.run_in_executor(
+                None,
+                self.store.find_many,
+                [job.fingerprint] + [shard.plan.fingerprint for shard in job.shards],
+            )
             # Whole-result shortcut: the assembled result of this spec is
             # already stored (the job ran to completion before) — complete
             # instantly without touching the pool.
-            record = await loop.run_in_executor(None, self.store.find, job.fingerprint)
+            record = stored.get(job.fingerprint)
             if record is not None:
                 for shard in job.shards:
                     shard.set_state("skipped")
                 job.key = record.key
                 job.state = "completed"
                 return
-            # Per-shard resume: skip every shard the store already holds
-            # (one index pass for the whole plan).
-            stored = await loop.run_in_executor(
-                None,
-                self.store.find_many,
-                [shard.plan.fingerprint for shard in job.shards],
-            )
+            # Per-shard resume: skip every shard the store already holds.
             for shard in job.shards:
                 record = stored.get(shard.plan.fingerprint)
                 if record is not None:

@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.pareto import normalize_objectives
 from ..dse.campaign import metric_direction
 from .queryspec import DERIVED_METRICS, QuerySpec, resolve_metric
 
@@ -432,23 +433,6 @@ def query_rows(
     return engine.materialize(indices[start:end], spec.select), total, next_start
 
 
-def _normalize_objectives(objectives) -> List[Tuple[str, bool]]:
-    pairs: List[Tuple[str, bool]] = []
-    for objective in objectives:
-        if isinstance(objective, str):
-            pairs.append((objective, True))
-        elif hasattr(objective, "metric"):
-            pairs.append((objective.metric, bool(objective.maximize)))
-        else:
-            metric, maximize = objective
-            pairs.append((metric, bool(maximize)))
-    if not pairs:
-        raise ValueError("at least one objective is required")
-    for metric, _maximize in pairs:
-        resolve_metric(metric)
-    return pairs
-
-
 def pareto_rows(
     engine,
     spec: QuerySpec,
@@ -466,9 +450,11 @@ def pareto_rows(
     """
     if spec.where:
         raise ValueError("where filters are not supported for pareto queries")
-    objectives = _normalize_objectives(
+    objectives = normalize_objectives(
         spec.objectives if spec.objectives is not None else default_objectives
     )
+    for metric, _maximize in objectives:
+        resolve_metric(metric)
     flat: List[Tuple[str, int]] = []
     for network, group in engine.network_groups():
         if spec.network is not None and network != spec.network:

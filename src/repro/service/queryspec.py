@@ -5,11 +5,10 @@ the service answers — which stored result (``key`` / ``fingerprint`` /
 ``network`` / ``device`` / ``name``), which rows (``where`` filters),
 which order (``metric`` + ``maximize``), which columns (``select``),
 and which page (``top_k`` / ``limit`` / ``cursor``).  The same object is
-consumed by :meth:`ResultStore.query <repro.service.store.ResultStore.query>`,
-the ``/v1/query``-family HTTP handlers and
-:class:`~repro.service.client.ServiceClient`, so the three layers cannot
-drift apart; the legacy keyword forms everywhere are thin shims that
-build a ``QuerySpec``.
+consumed by :meth:`ResultStore.query_page
+<repro.service.store.ResultStore.query_page>`, the ``/v1/query``-family
+HTTP handlers and :class:`~repro.service.client.ServiceClient`, so the
+three layers cannot drift apart.
 
 This module is deliberately stdlib-only (no NumPy): the client imports it
 too, and a query *description* needs no array machinery.

@@ -743,7 +743,7 @@ class ResultServer:
     async def _list_results(self, args, params, body) -> Dict[str, Any]:
         """``GET /v1/results`` — stored-result metadata, filterable."""
         _check_fields(params, {"network", "device", "fingerprint", "name"}, "query")
-        records = self.store.query(
+        records = self.store.records(
             fingerprint=params.get("fingerprint"),
             network=params.get("network"),
             device=params.get("device"),

@@ -18,7 +18,7 @@ Layout on disk::
 
 Each stored result is one binary block of NumPy-structured design-point
 columns (:mod:`.columnar`), memory-mapped on read so
-``query``/``pareto``/``best`` run as zero-copy vectorized column scans
+``query_page``/``pareto``/``best`` run as zero-copy vectorized column scans
 and only the returned page of rows is ever materialized.  Results the
 strict column encoder cannot represent are kept as *opaque* blocks (the
 payload's JSON) and served by the :class:`~.query.ReferenceEngine`.
@@ -608,7 +608,7 @@ class ResultStore:
             "device": spec.device,
             "name": spec.name,
         }
-        matches = self._query_records(**filters)
+        matches = self.records(**filters)
         if not matches:
             raise KeyError(
                 "no stored result matches "
@@ -641,32 +641,7 @@ class ResultStore:
         )
         return QueryPage(key=key, rows=rows, total=total, next_cursor=next_cursor)
 
-    def query(
-        self,
-        spec: Union[QuerySpec, str, None] = None,
-        network: Optional[str] = None,
-        device: Optional[str] = None,
-        name: Optional[str] = None,
-        *,
-        fingerprint: Optional[str] = None,
-    ):
-        """Spec-driven page query, or the legacy index-record filter.
-
-        With a :class:`QuerySpec` this is :meth:`query_page`.  The legacy
-        keyword form — ``query(fingerprint=..., network=..., device=...,
-        name=...)`` returning matching :class:`StoreRecord` rows oldest
-        first — keeps working unchanged (a positional first string is the
-        fingerprint, as before).
-        """
-        if isinstance(spec, QuerySpec):
-            return self.query_page(spec)
-        if fingerprint is None:
-            fingerprint = spec
-        return self._query_records(
-            fingerprint=fingerprint, network=network, device=device, name=name
-        )
-
-    def _query_records(
+    def records(
         self,
         fingerprint: Optional[str] = None,
         network: Optional[str] = None,
@@ -686,10 +661,10 @@ class ResultStore:
         ]
 
     def _default_objectives(self, key: str):
-        """The stored spec's campaign objectives (no point materialization)."""
+        """The stored spec's objectives (no point materialization)."""
         with self._lock:
             spec_data = self._block(key).result_extra.get("spec")
-        return ExperimentSpec.from_dict(spec_data).to_campaign().objectives
+        return ExperimentSpec.from_dict(spec_data).objectives
 
     def pareto(self, spec: QuerySpec) -> ParetoPage:
         """Per-network Pareto fronts of one stored result, paginated.
@@ -731,30 +706,14 @@ class ResultStore:
         assert spec.metric is not None  # best_row raised otherwise
         return BestResult(key=key, metric=spec.metric, value=value, row=row)
 
-    def find(self, fingerprint: str) -> Optional[StoreRecord]:
-        """Newest index record whose spec fingerprint matches, if any.
-
-        The resumption primitive: shard and campaign specs have
-        deterministic fingerprints, so "has this search already been
-        evaluated?" is one index lookup, no payload reads.
-        """
-        with self._lock:
-            matches = [
-                record
-                for record in self._records.values()
-                if record.fingerprint == fingerprint
-            ]
-        if not matches:
-            return None
-        return max(matches, key=lambda record: record.sequence)
-
     def find_many(self, fingerprints) -> Dict[str, StoreRecord]:
         """Newest record per matching fingerprint, in one index pass.
 
-        The bulk form of :meth:`find` — a job's whole shard plan resolves
-        in a single scan under one lock acquisition instead of one scan
-        per shard.  Fingerprints with no stored record are absent from the
-        returned mapping.
+        The resumption primitive: job and shard specs have deterministic
+        fingerprints, so a whole job plan resolves against the store in a
+        single scan under one lock acquisition, with no payload reads.
+        Fingerprints with no stored record are absent from the returned
+        mapping.
         """
         wanted = set(fingerprints)
         found: Dict[str, StoreRecord] = {}
@@ -766,21 +725,6 @@ class ResultStore:
                 if best is None or record.sequence > best.sequence:
                     found[record.fingerprint] = record
         return found
-
-    def latest(
-        self,
-        fingerprint: Optional[str] = None,
-        network: Optional[str] = None,
-        device: Optional[str] = None,
-        name: Optional[str] = None,
-    ) -> Optional[CampaignResult]:
-        """The most recently stored result matching the filters, if any."""
-        matches = self._query_records(
-            fingerprint=fingerprint, network=network, device=device, name=name
-        )
-        if not matches:
-            return None
-        return self.get(matches[-1].key)
 
     # ------------------------------------------------------------------ #
     # Maintenance

@@ -1,16 +1,10 @@
-"""Tests for the campaign engine: Campaign/CampaignResult, reporting, registries."""
+"""Tests for the campaign engine: CampaignResult, reporting, registries."""
 
 import pytest
 
 from repro.core.design_space import SweepSpec, frequency_range
-from repro.dse import (
-    Campaign,
-    CampaignResult,
-    EvaluationCache,
-    ExecutorConfig,
-    iter_explore,
-    run_campaign,
-)
+from repro.dse import CampaignResult, EvaluationCache, ExecutorConfig, iter_explore
+from repro.experiments import ExperimentSpec, run_experiment
 from repro.hw.device import FpgaDevice, get_device, resolve_device, virtex7_485t
 from repro.nn import get_network, known_networks, register_network, resolve_network
 from repro.reporting import (
@@ -28,13 +22,13 @@ SPEC = SweepSpec(
 
 @pytest.fixture(scope="module")
 def result() -> CampaignResult:
-    campaign = Campaign(
+    spec = ExperimentSpec(
         networks=("vgg16-d", "alexnet"),
         devices=("xc7vx485t", "xc7vx690t"),
         sweeps=(SPEC,),
         name="unit",
     )
-    return campaign.run(cache=EvaluationCache())
+    return run_experiment(spec, cache=EvaluationCache())
 
 
 class TestRegistries:
@@ -139,7 +133,9 @@ class TestSweepSpecExtensions:
         assert spec.multiplier_budgets == (256, 512)
         assert spec.size == 4
         assert len(list(spec.configurations())) == 4
-        run = Campaign(networks="alexnet", sweeps=spec).run(cache=EvaluationCache())
+        run = run_experiment(
+            ExperimentSpec(networks="alexnet", sweeps=spec), cache=EvaluationCache()
+        )
         assert run.evaluations == 4
         assert run.feasible == 4
 
@@ -157,18 +153,28 @@ class TestSweepSpecExtensions:
         from repro.reporting import campaign_summary_table
 
         pairs = (("throughput_gops", True), ("power_efficiency", True))
-        run = Campaign(
+        spec = ExperimentSpec(
             networks=("alexnet",),
             sweeps=(SweepSpec(m_values=(2, 3)),),
             objectives=(pair for pair in pairs),
-        ).run(cache=EvaluationCache())
+        )
+        run = run_experiment(spec, cache=EvaluationCache())
         first = run.pareto_fronts()
         second = run.pareto_fronts()  # re-reads objectives; must not exhaust
         assert first.keys() == second.keys()
         assert campaign_summary_table(run)
         # A single bare ("metric", maximize) pair is one objective, not two.
-        single = Campaign(networks=("alexnet",), objectives=("total_latency_ms", False))
+        single = ExperimentSpec(networks=("alexnet",), objectives=("total_latency_ms", False))
         assert single.objectives == (("total_latency_ms", False),)
+
+    def test_pareto_fronts_bare_pair_equals_list_form(self, result):
+        bare = result.pareto_fronts(("total_latency_ms", False))
+        assert bare == result.pareto_fronts([("total_latency_ms", False)])
+        assert bare != result.pareto_fronts()
+
+    def test_pareto_fronts_empty_objectives_raise(self, result):
+        with pytest.raises(ValueError, match="at least one objective is required"):
+            result.pareto_fronts([])
 
     def test_empty_r_values_means_sweep_nothing(self):
         spec = SweepSpec(m_values=(2, 3), r_values=())
@@ -288,8 +294,7 @@ class TestIterExplore:
         assert spec.size >= MIN_GRID_FOR_VECTORIZED
         points = explore(tiny_network, spec)
         assert len(points) > 0
-        run = Campaign(networks=(tiny_network,), sweeps=(spec,)).run()
-        assert run.feasible == len(points)
+        assert len(list(iter_explore(tiny_network, spec))) == len(points)
 
     def test_auto_mode_prefers_serial_for_explicit_cache(self, monkeypatch, tiny_network):
         """A caller-supplied cache asks for evaluation through it: auto mode
@@ -320,7 +325,7 @@ class TestIterExplore:
 
 class TestCampaignResult:
     def test_counts(self, result):
-        assert result.evaluations == result.campaign.grid_size == 2 * 2 * SPEC.size
+        assert result.evaluations == result.spec.grid_size == 2 * 2 * SPEC.size
         assert result.feasible == len(result.points)
         assert result.feasible + result.skipped == result.evaluations
         assert result.elapsed_seconds > 0
@@ -344,15 +349,11 @@ class TestCampaignResult:
             cell_points = result.by_network()[name]
             assert all(any(member is point for point in cell_points) for member in front)
 
-    def test_best_and_best_by_metric(self, result):
+    def test_best(self, result):
         best = result.best("throughput_gops")
         assert best.throughput_gops == max(p.throughput_gops for p in result.points)
         fastest = result.best("total_latency_ms")  # direction inferred (minimize)
         assert fastest.total_latency_ms == min(p.total_latency_ms for p in result.points)
-        picks = result.best_by_metric()
-        assert set(picks) == {"vgg16-d", "alexnet"}
-        for name, by_metric in picks.items():
-            assert by_metric["throughput_gops"].workload_name == name
 
     def test_comparison_rows(self, result):
         rows = result.comparison_rows("throughput_gops")
@@ -360,38 +361,34 @@ class TestCampaignResult:
         for row in rows:
             assert set(row) == {"network", "xc7vx485t", "xc7vx690t"}
 
-    def test_run_campaign_function_matches_method(self):
-        campaign = Campaign(networks=("alexnet",), sweeps=(SweepSpec(m_values=(2,)),))
-        assert run_campaign(campaign, cache=EvaluationCache()).points == campaign.run(
-            cache=EvaluationCache()
-        ).points
-
     def test_generator_inputs_survive(self):
         """One-shot iterables are normalized at construction, so the grid
         accounting and the run read the same (non-exhausted) inputs."""
-        campaign = Campaign(
+        spec = ExperimentSpec(
             networks=(name for name in ("alexnet", "vgg16-d")),
-            sweeps=(spec for spec in (SweepSpec(m_values=(2, 3)),)),
+            sweeps=(sweep for sweep in (SweepSpec(m_values=(2, 3)),)),
         )
-        assert campaign.grid_size == 4
-        run = campaign.run(cache=EvaluationCache())
+        assert spec.grid_size == 4
+        run = run_experiment(spec, cache=EvaluationCache())
         assert run.evaluations == 4
         assert run.feasible == 4
         assert run.skipped == 0
 
     def test_scalar_string_inputs(self):
-        campaign = Campaign(networks="alexnet", devices="xc7vx690t", sweeps=SweepSpec(m_values=(2, 3)))
-        assert campaign.grid_size == 2
-        run = campaign.run(cache=EvaluationCache())
+        spec = ExperimentSpec(
+            networks="alexnet", devices="xc7vx690t", sweeps=SweepSpec(m_values=(2, 3))
+        )
+        assert spec.grid_size == 2
+        run = run_experiment(spec, cache=EvaluationCache())
         assert run.feasible == 2
         assert {point.workload_name for point in run.points} == {"alexnet"}
         assert {point.device_name for point in run.points} == {"xc7vx690t"}
 
     def test_cache_stats_are_per_run_not_cumulative(self):
-        campaign = Campaign(networks=("alexnet",), sweeps=(SweepSpec(m_values=(2, 3)),))
+        spec = ExperimentSpec(networks=("alexnet",), sweeps=(SweepSpec(m_values=(2, 3)),))
         cache = EvaluationCache()
-        first = campaign.run(cache=cache)
-        second = campaign.run(cache=cache)
+        first = run_experiment(spec, cache=cache)
+        second = run_experiment(spec, cache=cache)
         assert first.cache_stats.misses > 0
         # Every grid entry of the second run is a whole-point cache hit, and
         # the counters describe that run alone, not the process lifetime.
@@ -400,8 +397,8 @@ class TestCampaignResult:
         assert second.cache_stats.lookups < first.cache_stats.lookups
 
     def test_cache_disabled_reports_zero_stats(self):
-        campaign = Campaign(networks=("alexnet",), sweeps=(SweepSpec(m_values=(2,)),))
-        run = campaign.run(cache=False)
+        spec = ExperimentSpec(networks=("alexnet",), sweeps=(SweepSpec(m_values=(2,)),))
+        run = run_experiment(spec, cache=False)
         assert run.feasible == 1
         assert run.cache_stats.lookups == 0
 
@@ -428,9 +425,10 @@ class TestCampaignReporting:
     def test_csv_keeps_group_columns_of_every_network(self):
         """Different networks report different per-group latency columns;
         the export must union them instead of taking the first row's keys."""
-        run = Campaign(
+        spec = ExperimentSpec(
             networks=("vgg16-d", "resnet18"), sweeps=(SweepSpec(m_values=(4,)),)
-        ).run(cache=EvaluationCache())
+        )
+        run = run_experiment(spec, cache=EvaluationCache())
         header = set(campaign_to_csv(run).splitlines()[0].split(","))
         expected = set()
         for point in run.points:

@@ -1,11 +1,11 @@
-"""Result persistence: save/load round-trips, schema versioning, legacy interop."""
+"""Result persistence: save/load round-trips and schema versioning."""
 
 import json
 
 import pytest
 
 from repro.core.design_space import SweepSpec
-from repro.dse import Campaign, CampaignResult, EvaluationCache
+from repro.dse import CampaignResult, EvaluationCache
 from repro.experiments import (
     ExperimentSpec,
     point_from_dict,
@@ -74,22 +74,6 @@ class TestResultRoundTrip:
             result_from_dict(data)
         with pytest.raises(ValueError, match="unknown campaign-result fields"):
             result_from_dict({**json.loads(path.read_text()), "bogus": 1})
-
-    def test_legacy_campaign_result_saves_via_derived_spec(self, tmp_path):
-        legacy = Campaign(
-            networks=("alexnet",),
-            sweeps=(SweepSpec(m_values=(2, 3)),),
-            name="legacy-run",
-        ).run(cache=EvaluationCache())
-        assert legacy.spec is None
-        loaded = CampaignResult.load(legacy.save(tmp_path / "legacy.json"))
-        assert loaded.points == legacy.points
-        assert loaded.spec is not None
-        assert loaded.spec.networks == ("alexnet",)
-        assert loaded.spec.name == "legacy-run"
-        # The embedded spec is re-runnable and reproduces the same points.
-        rerun = run_experiment(loaded.spec, cache=EvaluationCache())
-        assert rerun.points == legacy.points
 
     def test_saved_file_reruns_bit_identically(self, result, tmp_path):
         loaded = CampaignResult.load(result.save(tmp_path / "result.json"))

@@ -14,8 +14,8 @@ import json
 import pytest
 
 from repro.core.design_space import SweepSpec
-from repro.dse import Campaign, CampaignResult, ExecutorConfig
-from repro.experiments import ExperimentSpec
+from repro.dse import CampaignResult, ExecutorConfig
+from repro.experiments import ExperimentSpec, run_experiment
 from repro.experiments.persistence import RESULT_SCHEMA, result_to_dict
 from repro.service import ResultStore
 from repro.service.store import result_key
@@ -33,14 +33,16 @@ LEGACY_EXECUTOR = {
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
-    result = Campaign(
-        networks=("alexnet",),
-        sweeps=(
-            SweepSpec(
-                m_values=(2, 3), multiplier_budgets=(256,), frequencies_mhz=(200.0,)
+    result = run_experiment(
+        ExperimentSpec(
+            networks=("alexnet",),
+            sweeps=(
+                SweepSpec(
+                    m_values=(2, 3), multiplier_budgets=(256,), frequencies_mhz=(200.0,)
+                ),
             ),
-        ),
-    ).run()
+        )
+    )
     path = tmp_path_factory.mktemp("results") / "result.json"
     result.save(path)
     return path

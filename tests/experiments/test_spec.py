@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from repro.core.design_space import SweepSpec, frequency_range
-from repro.dse import Campaign, ExecutorConfig
+from repro.dse import ExecutorConfig
 from repro.experiments import EXPERIMENT_SCHEMA, ExperimentSpec, StrategySpec
 from repro.hw.calibration import Calibration, PowerCalibration, ResourceCalibration
 from repro.hw.device import get_device
@@ -173,29 +173,3 @@ class TestRoundTrip:
         data["schema"] = "repro.experiment/999"
         with pytest.raises(ValueError, match="unsupported experiment schema"):
             ExperimentSpec.from_dict(data)
-
-
-class TestCampaignInterop:
-    def test_to_campaign_matches_fields(self):
-        campaign = FULL_SPEC.to_campaign()
-        assert isinstance(campaign, Campaign)
-        assert campaign.networks == FULL_SPEC.networks
-        assert campaign.devices == FULL_SPEC.devices
-        assert campaign.sweeps == FULL_SPEC.sweeps
-        assert campaign.objectives == FULL_SPEC.objectives
-        assert campaign.name == FULL_SPEC.name
-        assert campaign.calibration == FULL_SPEC.calibration
-
-    def test_from_campaign_records_names(self):
-        campaign = Campaign(
-            networks=(get_network("alexnet"), "vgg16-d"),
-            devices=(get_device("xc7vx485t"),),
-            name="legacy",
-        )
-        spec = ExperimentSpec.from_campaign(campaign)
-        assert spec.networks == ("alexnet", "vgg16-d")
-        assert spec.devices == ("xc7vx485t",)
-        assert spec.strategy == StrategySpec("grid")
-        assert spec.name == "legacy"
-        # And the derived spec is itself round-trippable.
-        assert ExperimentSpec.from_json(spec.to_json()) == spec

@@ -1,12 +1,11 @@
 """Search strategies: registry, grid equivalence, seeded-bound properties."""
 
-import pickle
 import random
 
 import pytest
 
 from repro.core.design_space import SweepSpec
-from repro.dse import Campaign, EvaluationCache
+from repro.dse import EvaluationCache
 from repro.experiments import (
     ExperimentSpec,
     GridStrategy,
@@ -93,21 +92,6 @@ class TestRegistry:
 
 
 class TestGridEquivalence:
-    def test_grid_strategy_is_byte_identical_to_legacy_campaign(self):
-        campaign = Campaign(
-            networks=SPEC.networks,
-            devices=SPEC.devices,
-            sweeps=SPEC.sweeps,
-            name=SPEC.name,
-        )
-        legacy = campaign.run(cache=EvaluationCache())
-        modern = run_experiment(SPEC, cache=EvaluationCache())
-        assert modern.points == legacy.points
-        assert [pickle.dumps(a) for a in modern.points] == [
-            pickle.dumps(b) for b in legacy.points
-        ]
-        assert modern.evaluations == legacy.evaluations == SPEC.grid_size
-
     def test_grid_strategy_counts_cache_stats(self):
         cache = EvaluationCache()
         first = run_experiment(SPEC, cache=cache)

@@ -109,20 +109,20 @@ class TestEvaluateEndpoint:
 class TestQueryEndpoints:
     def test_where_filters_on_bit_width(self, service, stored):
         _, client, _ = service
-        rows = client.query(
+        rows = list(client.iter_query(
             key=stored["key"],
             where=[["bit_width", "==", 8]],
             select=["name", "bit_width", "max_rel_error"],
-        )
+        ))
         assert rows
         assert all(row["bit_width"] == 8 for row in rows)
         assert all(row["name"].endswith("-Q8") for row in rows)
 
     def test_select_returns_none_for_float_points(self, service, stored):
         _, client, _ = service
-        rows = client.query(
+        rows = list(client.iter_query(
             key=stored["key"], select=["name", "bit_width", "max_rel_error"]
-        )
+        ))
         float_rows = [row for row in rows if not row["name"].endswith(
             ("-Q8", "-Q12", "-Q16"))]
         assert float_rows
@@ -131,12 +131,12 @@ class TestQueryEndpoints:
 
     def test_sort_by_accuracy_metric(self, service, stored):
         _, client, _ = service
-        rows = client.query(
+        rows = list(client.iter_query(
             key=stored["key"],
             metric="max_rel_error",
             maximize=False,
             select=["max_rel_error"],
-        )
+        ))
         errors = [row["max_rel_error"] for row in rows]
         assert errors == sorted(errors)
 
@@ -160,11 +160,11 @@ class TestQueryEndpoints:
 
     def test_errors_reproducible_from_calibration(self, service, stored):
         _, client, _ = service
-        rows = client.query(
+        rows = list(client.iter_query(
             key=stored["key"],
             where=[["bit_width", "==", 16]],
             select=["m", "r", "max_rel_error", "mean_rel_error"],
-        )
+        ))
         assert rows
         for row in rows:
             stats = calibrated_error(row["m"], row["r"], 16)

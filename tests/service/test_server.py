@@ -306,9 +306,9 @@ class TestStoredQueries:
 
     def test_query_top_k(self, service, stored, reference):
         _, client, _ = service
-        top = client.query(
+        top = list(client.iter_query(
             key=stored["key"], network="vgg16-d", metric="throughput_gops", top_k=3
-        )
+        ))
         expected = sorted(
             reference.select(network="vgg16-d"),
             key=lambda point: point.throughput_gops,
@@ -335,7 +335,7 @@ class TestStoredQueries:
     def test_query_unknown_metric_400(self, service, stored):
         _, client, _ = service
         with pytest.raises(ServiceError) as excinfo:
-            client.query(key=stored["key"], metric="nonsense")
+            list(client.iter_query(key=stored["key"], metric="nonsense"))
         assert excinfo.value.status == 400
 
     def test_report_unknown_metric_400(self, service, stored):
@@ -383,10 +383,10 @@ class TestQuerySpecSurface:
 
     def test_where_filters_rows(self, service, stored, reference):
         _, client, _ = service
-        points = client.query(
+        points = list(client.iter_query(
             key=stored["key"],
             where=[["m", "==", 2], ["throughput_gops", ">", 0]],
-        )
+        ))
         expected = [p for p in reference.points if p.m == 2 and p.throughput_gops > 0]
         assert [pickle.dumps(p) for p in points] == [
             pickle.dumps(normalize(p)) for p in expected
@@ -394,12 +394,12 @@ class TestQuerySpecSurface:
 
     def test_select_projects_flat_rows(self, service, stored, reference):
         _, client, _ = service
-        rows = client.query(
+        rows = list(client.iter_query(
             key=stored["key"],
             metric="throughput_gops",
             top_k=2,
             select=["name", "throughput_gops", "multiplication_saving_factor"],
-        )
+        ))
         expected = sorted(
             reference.points, key=lambda p: p.throughput_gops, reverse=True
         )[:2]

@@ -132,20 +132,20 @@ class TestQuery:
         store = ResultStore(tmp_path)
         first = store.put(result)
         second = store.put(other_result)
-        assert [r.key for r in store.query(network="vgg16-d")] == [first]
-        assert [r.key for r in store.query(device="xc7vx690t")] == [second]
-        assert [r.key for r in store.query(name="other")] == [second]
-        assert [r.key for r in store.query(fingerprint=result.spec.fingerprint())] == [first]
-        assert store.query(network="resnet18") == []
-        assert len(store.query()) == 2
+        assert [r.key for r in store.records(network="vgg16-d")] == [first]
+        assert [r.key for r in store.records(device="xc7vx690t")] == [second]
+        assert [r.key for r in store.records(name="other")] == [second]
+        assert [r.key for r in store.records(fingerprint=result.spec.fingerprint())] == [first]
+        assert store.records(network="resnet18") == []
+        assert len(store.records()) == 2
 
     def test_latest_prefers_newest(self, tmp_path, result, other_result):
         store = ResultStore(tmp_path)
         store.put(result)
         store.put(other_result)
-        assert store.latest().spec.name == "other"
-        assert store.latest(network="vgg16-d").spec.name == "tiny"
-        assert store.latest(network="resnet18") is None
+        assert store.get(store.records()[-1].key).spec.name == "other"
+        assert store.get(store.records(network="vgg16-d")[-1].key).spec.name == "tiny"
+        assert store.records(network="resnet18") == []
 
 
 class TestIndexSelfHealing:
