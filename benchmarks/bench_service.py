@@ -13,7 +13,7 @@ Measures the two things the ``repro.service`` request path promises:
 * **Latency** — the same requests fired concurrently at a live
   :class:`~repro.service.MicroBatcher` on an asyncio loop, recording
   per-request p50/p99 and sustained requests/second through the real
-  window-coalescing schedule.
+  self-clocking schedule.
 
 Every full-mode run appends a machine-readable trend record to
 ``BENCH_service.json`` at the repository root (override with
@@ -108,10 +108,10 @@ def test_micro_batching_throughput(benchmark):
     speedup = serial_seconds / best_batched
     feasible = sum(1 for outcome in batched_outcomes if outcome.feasible)
 
-    # Live MicroBatcher: concurrent submissions through the real window
-    # schedule, measuring per-request latency.
+    # Live MicroBatcher: concurrent submissions through the real
+    # self-clocking schedule, measuring per-request latency.
     async def drive() -> list:
-        batcher = MicroBatcher(window_ms=1.0, max_batch=512, cache=False)
+        batcher = MicroBatcher(max_batch=512, cache=False)
         latencies = []
 
         async def one(request):
@@ -149,7 +149,7 @@ def test_micro_batching_throughput(benchmark):
                     "speedup": speedup,
                 },
                 {
-                    "path": "micro-batcher (asyncio, 1 ms window)",
+                    "path": "micro-batcher (asyncio, self-clocking)",
                     "time_ms": wall * 1e3,
                     "us_per_request": wall / len(requests) * 1e6,
                     "speedup": serial_seconds / wall,

@@ -15,11 +15,12 @@ design-point questions into micro-batched vectorized evaluations:
   filters, sort, ``select`` projection, top-k, ``limit``/``cursor``
   pagination) shared verbatim by the store, the HTTP handlers and the
   client;
-* :mod:`repro.service.batching` — :class:`MicroBatcher`, the scheduler
-  that holds concurrent ``evaluate`` requests for a small window and
-  dispatches them as one stacked :func:`repro.dse.batch.evaluate_requests`
-  call (bit-identical to serial evaluation, an order of magnitude more
-  throughput);
+* :mod:`repro.service.batching` — :class:`MicroBatcher`, the
+  self-clocking scheduler that sends ``evaluate`` requests to the engine
+  on the next loop tick when it is idle and, while a batch runs, queues
+  new ones to leave together as the next stacked
+  :func:`repro.dse.batch.evaluate_requests` call (bit-identical to serial
+  evaluation, an order of magnitude more throughput);
 * :mod:`repro.service.jobs` — :class:`JobManager` / :class:`Job`, the
   sharded asynchronous campaign scheduler: specs split into
   per-(network, device) (and per-chunk) shards, executed on a worker

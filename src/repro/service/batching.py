@@ -4,19 +4,23 @@ An online design-query server receives many small, independent
 ``evaluate`` requests.  Answering each alone walks the scalar model once
 per request; but the vectorized engine (:mod:`repro.dse.vectorized`)
 evaluates a whole stacked batch for barely more than the cost of one —
-so the profitable schedule is to *wait a tiny window*, coalesce every
-request that arrived, and dispatch them as one
+so requests that arrive together should leave together, as one
 :func:`repro.dse.batch.evaluate_requests` call.
 
-:class:`MicroBatcher` implements that schedule on asyncio:
+:class:`MicroBatcher` implements a *self-clocking* schedule on asyncio,
+the way a pipelined engine admits a tile as soon as its stage is free:
 
-* the first request to arrive opens a collection window of
-  ``window_ms`` milliseconds;
-* every request arriving inside the window joins the pending batch;
-* when the window closes (or the batch hits ``max_batch`` first), the
-  batch is dispatched on a worker thread — evaluation is CPU-bound
-  Python/NumPy, so it must not block the event loop — and each request's
-  future resolves with its own :class:`~repro.dse.batch.BatchOutcome`.
+* when no batch is in flight, the pending requests are dispatched on the
+  next event-loop tick — requests submitted in the same tick share it,
+  and a lone request never waits for company;
+* while a batch is in flight, new requests queue; when it finishes
+  (successfully or not) everything queued goes out as the next batch;
+* ``max_batch`` pending requests are dispatched at once.
+
+Load therefore sets the batch size and there is no timer to tune.  Each
+batch runs on a worker thread — evaluation is CPU-bound Python/NumPy, so
+it must not block the event loop — and each request's future resolves
+with its own :class:`~repro.dse.batch.BatchOutcome`.
 
 Because :func:`~repro.dse.batch.evaluate_requests` is bit-identical to
 serial per-request evaluation regardless of batch composition, batching
@@ -36,25 +40,29 @@ from ..dse.batch import BatchOutcome, EvalRequest, evaluate_requests
 from ..dse.engine import CacheLike
 from ..obs.logging import StructuredLogger
 
-__all__ = ["BatcherSaturated", "BatcherStats", "MicroBatcher"]
+__all__ = ["BatcherSaturated", "BatcherStats", "MicroBatcher", "RETRY_AFTER_S"]
+
+#: Seconds a saturated client is asked to wait: about one batch.
+RETRY_AFTER_S = 0.05
 
 
 class BatcherSaturated(RuntimeError):
     """Raised by :meth:`MicroBatcher.submit` when the admission queue is full.
 
     The server maps this to ``429 Too Many Requests`` with a
-    ``Retry-After`` header of :attr:`retry_after_s` seconds — roughly one
-    collection window, since that is when capacity next frees up.
+    ``Retry-After`` header derived from :attr:`retry_after_s`
+    (:data:`RETRY_AFTER_S`, rounded up to whole seconds).
     """
 
-    def __init__(self, pending: int, limit: int, retry_after_s: float):
+    retry_after_s = RETRY_AFTER_S
+
+    def __init__(self, pending: int, limit: int):
         super().__init__(
             f"micro-batcher saturated: {pending} request(s) pending or in "
             f"flight against a limit of {limit}"
         )
         self.pending = pending
         self.limit = limit
-        self.retry_after_s = retry_after_s
 
 
 @dataclass
@@ -89,11 +97,9 @@ class MicroBatcher:
 
     Parameters
     ----------
-    window_ms:
-        How long the first request of a batch waits for company.  ``0``
-        still coalesces whatever arrives within one event-loop tick.
     max_batch:
-        Dispatch immediately once this many requests are pending.
+        Dispatch immediately once this many requests are pending, even
+        while another batch is in flight.
     cache / vectorized:
         Forwarded to :func:`repro.dse.batch.evaluate_requests`.
     executor:
@@ -112,7 +118,6 @@ class MicroBatcher:
 
     def __init__(
         self,
-        window_ms: float = 2.0,
         max_batch: int = 256,
         cache: CacheLike = None,
         vectorized: bool = True,
@@ -120,13 +125,10 @@ class MicroBatcher:
         max_pending: Optional[int] = None,
         logger: Optional[StructuredLogger] = None,
     ) -> None:
-        if window_ms < 0:
-            raise ValueError("window_ms must be >= 0")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1 (or None for unbounded)")
-        self.window_ms = window_ms
         self.max_batch = max_batch
         self.cache = cache
         self.vectorized = vectorized
@@ -139,12 +141,11 @@ class MicroBatcher:
             Tuple[EvalRequest, "asyncio.Future[BatchOutcome]", Optional[str]]
         ] = []
         self._inflight = 0
-        self._flush_task: Optional["asyncio.Task"] = None
         self._closed = False
 
     @property
     def occupancy(self) -> int:
-        """Requests currently pending in the open window."""
+        """Requests queued for the next batch."""
         return len(self._pending)
 
     @property
@@ -158,10 +159,11 @@ class MicroBatcher:
     ) -> BatchOutcome:
         """Enqueue one request and await its outcome.
 
-        Requests submitted while a window is open join its batch; the
-        caller's coroutine resumes when the batch completes.  With
-        ``max_pending`` set, a full admission queue raises
-        :class:`BatcherSaturated` immediately instead of queueing.
+        The request joins the next batch: the one leaving on the next
+        loop tick when the engine is idle, or the one leaving when the
+        in-flight batch finishes.  With ``max_pending`` set, a full
+        admission queue raises :class:`BatcherSaturated` immediately
+        instead of queueing.
         """
         if self._closed:
             raise RuntimeError("MicroBatcher is closed")
@@ -169,30 +171,19 @@ class MicroBatcher:
         if self.max_pending is not None and occupied >= self.max_pending:
             with self._stats_lock:
                 self.stats.rejected += 1
-            retry_after = max(self.window_ms / 1000.0, 0.05)
-            raise BatcherSaturated(occupied, self.max_pending, retry_after)
+            raise BatcherSaturated(occupied, self.max_pending)
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[BatchOutcome]" = loop.create_future()
         self._pending.append((request, future, trace_id))
         if len(self._pending) >= self.max_batch:
-            self._cancel_window()
             self._dispatch_pending(loop)
-        elif self._flush_task is None:
-            self._flush_task = loop.create_task(self._window(loop))
+        elif not self._inflight:
+            loop.call_soon(self._on_tick, loop)
         return await future
 
-    async def _window(self, loop: asyncio.AbstractEventLoop) -> None:
-        try:
-            await asyncio.sleep(self.window_ms / 1000.0)
-        except asyncio.CancelledError:
-            return
-        self._flush_task = None
-        self._dispatch_pending(loop)
-
-    def _cancel_window(self) -> None:
-        if self._flush_task is not None:
-            self._flush_task.cancel()
-            self._flush_task = None
+    def _on_tick(self, loop: asyncio.AbstractEventLoop) -> None:
+        if not self._inflight:  # otherwise the in-flight batch's finish sends them
+            self._dispatch_pending(loop)
 
     def _dispatch_pending(self, loop: asyncio.AbstractEventLoop) -> None:
         batch, self._pending = self._pending, []
@@ -221,7 +212,7 @@ class MicroBatcher:
         dispatch = loop.run_in_executor(self.executor, run)
 
         def finish(done: "asyncio.Future") -> None:
-            """Resolve every request future from the batch outcome."""
+            """Resolve every request future, then send what queued meanwhile."""
             self._inflight -= len(futures)
             error = done.exception()
             if error is not None:
@@ -230,23 +221,22 @@ class MicroBatcher:
                 for future in futures:
                     if not future.done():
                         future.set_exception(error)
-                return
-            for future, outcome in zip(futures, done.result()):
-                if not future.done():
-                    future.set_result(outcome)
+            else:
+                for future, outcome in zip(futures, done.result()):
+                    if not future.done():
+                        future.set_result(outcome)
+            self._dispatch_pending(loop)
 
         dispatch.add_done_callback(finish)
 
     # ------------------------------------------------------------------ #
     async def flush(self) -> None:
-        """Dispatch any pending batch now and wait for it to finish."""
-        self._cancel_window()
+        """Wait until every request queued so far has been answered."""
         pending = [future for _, future, _ in self._pending]
-        self._dispatch_pending(asyncio.get_running_loop())
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
 
     async def close(self) -> None:
-        """Flush outstanding work and refuse further submissions."""
+        """Refuse further submissions and flush outstanding work."""
         self._closed = True
         await self.flush()

@@ -25,9 +25,11 @@ Endpoints (all JSON):
 ``POST /v1/best``
     Single best point of a stored result by a metric.
 ``POST /v1/evaluate``
-    Evaluate one ad-hoc design point.  Concurrent requests are coalesced
-    by the :class:`~repro.service.batching.MicroBatcher` into stacked
-    NumPy batches — responses are bit-identical to serial evaluation.
+    Evaluate one ad-hoc design point.  The
+    :class:`~repro.service.batching.MicroBatcher` sends a request to the
+    engine on the next loop tick when it is idle; requests arriving while
+    a batch runs leave together as the next stacked NumPy batch.
+    Responses are bit-identical to serial evaluation.
 ``POST /v1/jobs``
     Submit an :class:`~repro.experiments.ExperimentSpec` as an
     **asynchronous sharded job** (see :mod:`repro.service.jobs`): returns
@@ -223,7 +225,8 @@ class ResultServer:
     """The asyncio HTTP server: a store, a batcher, a job scheduler.
 
     Micro-batched ``evaluate`` dispatches run on a dedicated single-thread
-    executor (CPU-bound work never blocks the event loop); campaigns run
+    executor (CPU-bound work never blocks the event loop), one batch at a
+    time: what queues while a batch runs is the next batch.  Campaigns run
     as sharded jobs on the :class:`~repro.service.jobs.JobManager`'s
     local slots (``workers`` processes, or one background thread when 1)
     and any fleet workers, so one large campaign no longer blocks other
@@ -262,7 +265,6 @@ class ResultServer:
         store: ResultStore,
         host: str = "127.0.0.1",
         port: int = 8787,
-        batch_window_ms: float = 2.0,
         max_batch: int = 256,
         workers: int = 1,
         shard_entries: int = DEFAULT_SHARD_ENTRIES,
@@ -283,7 +285,6 @@ class ResultServer:
         self.log = get_logger("server", enabled=not quiet)
         self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-eval")
         self.batcher = MicroBatcher(
-            window_ms=batch_window_ms,
             max_batch=max_batch,
             executor=self._worker,
             max_pending=max_pending_evals,
@@ -336,7 +337,7 @@ class ResultServer:
         )
         registry.gauge(
             "repro_batcher_occupancy",
-            "Evaluate requests pending in the open micro-batch window.",
+            "Evaluate requests queued for the next micro-batch.",
             callback=lambda: self.batcher.occupancy,
         )
         registry.gauge(
@@ -1220,7 +1221,6 @@ def serve(
     store_root: str,
     host: str = "127.0.0.1",
     port: int = 8787,
-    batch_window_ms: float = 2.0,
     max_batch: int = 256,
     workers: int = 1,
     shard_entries: int = DEFAULT_SHARD_ENTRIES,
@@ -1248,7 +1248,6 @@ def serve(
         store,
         host=host,
         port=port,
-        batch_window_ms=batch_window_ms,
         max_batch=max_batch,
         workers=workers,
         shard_entries=shard_entries,

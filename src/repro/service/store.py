@@ -191,6 +191,8 @@ class ResultStore:
         self._segments_dir = self.root / "segments"
         self._trash_dir = self._segments_dir / ".trash"
         self._index_path = self.root / "index.json"
+        # Set by deferred-flush puts; cleared by every index write.
+        self._index_dirty = False
         self._segments_dir.mkdir(parents=True, exist_ok=True)
         # Per-result query engines, LRU by content key.  An engine owns a
         # memory-mapped columnar block (or the decoded payload of an
@@ -339,13 +341,15 @@ class ResultStore:
             },
         }
         tmp = self._index_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, indent=2) + "\n")
+        tmp.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
         os.replace(tmp, self._index_path)
+        self._index_dirty = False
 
     def flush_index(self) -> None:
-        """Persist the in-memory index now (see ``put_payload(flush_index=)``)."""
+        """Persist rows a ``put_payload(flush_index=False)`` deferred, if any."""
         with self._lock:
-            self._write_index()
+            if self._index_dirty:
+                self._write_index()
 
     # ------------------------------------------------------------------ #
     # Writes
@@ -463,6 +467,8 @@ class ResultStore:
             self._next_sequence += 1
             if flush_index:
                 self._write_index()
+            else:
+                self._index_dirty = True
             return key
 
     # ------------------------------------------------------------------ #

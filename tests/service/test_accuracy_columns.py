@@ -48,7 +48,7 @@ def service(tmp_path_factory):
     """A live server over a columnar store + a client."""
     store = ResultStore(tmp_path_factory.mktemp("store"))
     loop = asyncio.new_event_loop()
-    server = ResultServer(store, port=0, batch_window_ms=1.0, quiet=True)
+    server = ResultServer(store, port=0, quiet=True)
     started = threading.Event()
 
     def run() -> None:

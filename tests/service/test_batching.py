@@ -11,6 +11,8 @@ from __future__ import annotations
 import asyncio
 import pickle
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.dse import (
     iter_explore,
 )
 from repro.service import MicroBatcher
+from repro.service import batching
 
 SPEC = SweepSpec(
     m_values=(2, 3, 4),
@@ -149,7 +152,7 @@ class TestMicroBatcher:
 
     def test_coalesced_outcomes_bit_identical(self):
         requests = interleaved_requests()
-        outcomes, batcher = self.drive(requests, window_ms=1.0, cache=False)
+        outcomes, batcher = self.drive(requests, cache=False)
         assert_outcomes_identical(outcomes, serial_reference(requests))
         # Concurrent submissions actually coalesced.
         assert batcher.stats.requests == len(requests)
@@ -158,18 +161,16 @@ class TestMicroBatcher:
 
     def test_max_batch_dispatches_early(self):
         requests = interleaved_requests()[:8]
-        outcomes, batcher = self.drive(
-            requests, window_ms=60_000.0, max_batch=4, cache=False
-        )
-        # A pathological window would hang forever; max_batch=4 must cut
-        # batches loose at 4 pending (the final flush drains any tail).
-        assert batcher.stats.batches >= 2
-        assert batcher.stats.largest_batch <= 4
+        outcomes, batcher = self.drive(requests, max_batch=4, cache=False)
+        # All 8 arrive in one tick; max_batch=4 cuts a batch loose at each
+        # 4th request, even while the first batch is still in flight.
+        assert batcher.stats.batches == 2
+        assert batcher.stats.largest_batch == 4
         assert all(outcome.feasible for outcome in outcomes)
 
     def test_single_request(self):
         outcomes, batcher = self.drive(
-            [EvalRequest("vgg16-d", "xc7vx485t", ENTRIES[1])], window_ms=0.0
+            [EvalRequest("vgg16-d", "xc7vx485t", ENTRIES[1])]
         )
         assert outcomes[0].feasible
         assert batcher.stats.batches == 1
@@ -184,14 +185,134 @@ class TestMicroBatcher:
         asyncio.run(main())
 
     def test_stats_dict(self):
-        _, batcher = self.drive(interleaved_requests()[:4], window_ms=1.0)
+        _, batcher = self.drive(interleaved_requests()[:4])
         stats = batcher.stats.to_dict()
         assert stats["requests"] == 4
         assert stats["errors"] == 0
         assert stats["mean_batch_size"] >= 1.0
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="window_ms"):
-            MicroBatcher(window_ms=-1.0)
         with pytest.raises(ValueError, match="max_batch"):
             MicroBatcher(max_batch=0)
+        with pytest.raises(ValueError, match="max_pending"):
+            MicroBatcher(max_pending=0)
+
+
+class TestSelfClockingSchedule:
+    """Dispatch timing, pinned by blocking the engine on an event."""
+
+    TIMEOUT_S = 10.0
+
+    @pytest.fixture
+    def gated(self, monkeypatch):
+        """A gate every dispatch waits on, plus the sizes of the batches."""
+        gate = threading.Event()
+        dispatched = []
+        real = batching.evaluate_requests
+
+        def evaluate(requests, **kwargs):
+            dispatched.append(len(requests))
+            assert gate.wait(self.TIMEOUT_S)
+            return real(requests, **kwargs)
+
+        monkeypatch.setattr(batching, "evaluate_requests", evaluate)
+        yield gate, dispatched
+        gate.set()  # never leave a worker thread parked
+
+    def run(self, gate, scenario):
+        """Run ``scenario(batcher)`` on a fresh loop with its own worker."""
+
+        async def main():
+            with ThreadPoolExecutor(max_workers=1) as executor:
+                batcher = MicroBatcher(cache=False, executor=executor)
+                try:
+                    return await asyncio.wait_for(
+                        scenario(batcher), self.TIMEOUT_S
+                    )
+                finally:
+                    gate.set()
+                    await batcher.close()
+
+        return asyncio.run(main())
+
+    @staticmethod
+    async def turn() -> None:
+        """Let every callback already queued on the loop run once."""
+        await asyncio.sleep(0)
+
+    @staticmethod
+    def request(index: int) -> EvalRequest:
+        return EvalRequest("alexnet", "xc7vx485t", ENTRIES[index])
+
+    def test_lone_submit_is_in_flight_after_one_tick(self, gated):
+        gate, dispatched = gated
+
+        async def scenario(batcher):
+            task = asyncio.ensure_future(batcher.submit(self.request(0)))
+            await self.turn()  # submit() queues the request
+            await self.turn()  # the next tick dispatches it: no window
+            assert batcher.inflight == 1
+            assert batcher.occupancy == 0
+            gate.set()
+            return await task
+
+        assert self.run(gate, scenario).feasible
+        assert dispatched == [1]
+
+    def test_requests_queued_in_flight_leave_as_one_batch(self, gated):
+        gate, dispatched = gated
+        queued = 5
+
+        async def scenario(batcher):
+            first = asyncio.ensure_future(batcher.submit(self.request(0)))
+            await self.turn()
+            await self.turn()
+            assert batcher.inflight == 1
+            rest = [
+                asyncio.ensure_future(batcher.submit(self.request(index)))
+                for index in range(1, queued + 1)
+            ]
+            for _ in range(3):
+                await self.turn()
+            # The engine is busy, so nothing else has left yet.
+            assert batcher.occupancy == queued
+            assert batcher.stats.batches == 1
+            gate.set()
+            return await asyncio.gather(first, *rest), batcher.stats
+
+        outcomes, stats = self.run(gate, scenario)
+        assert all(outcome.feasible for outcome in outcomes)
+        assert dispatched == [1, queued]
+        assert stats.batches == 2
+        assert stats.largest_batch == queued
+
+    def test_failed_batch_still_dispatches_the_queue(self, gated, monkeypatch):
+        gate, dispatched = gated
+        gated_evaluate = batching.evaluate_requests
+
+        def fail_first(requests, **kwargs):
+            outcomes = gated_evaluate(requests, **kwargs)
+            if len(dispatched) == 1:
+                raise RuntimeError("engine fault")
+            return outcomes
+
+        monkeypatch.setattr(batching, "evaluate_requests", fail_first)
+
+        async def scenario(batcher):
+            first = asyncio.ensure_future(batcher.submit(self.request(0)))
+            await self.turn()
+            await self.turn()
+            rest = [
+                asyncio.ensure_future(batcher.submit(self.request(index)))
+                for index in (1, 2, 3)
+            ]
+            await self.turn()
+            gate.set()
+            with pytest.raises(RuntimeError, match="engine fault"):
+                await first
+            return await asyncio.gather(*rest), batcher.stats
+
+        outcomes, stats = self.run(gate, scenario)
+        assert all(outcome.feasible for outcome in outcomes)
+        assert dispatched == [1, 3]
+        assert stats.errors == 1

@@ -184,6 +184,35 @@ def test_shards_stream_into_store_and_resubmit_skips(tmp_path, reference):
     run_async(scenario())
 
 
+def test_completed_job_writes_the_index_once(tmp_path, monkeypatch):
+    """Shard puts defer the index; the assembling put is its only write."""
+    store = ResultStore(tmp_path)
+    writes = []
+    write_index = store._write_index
+
+    def counting_write() -> None:
+        writes.append(len(store))
+        write_index()
+
+    monkeypatch.setattr(store, "_write_index", counting_write)
+
+    async def scenario():
+        manager = JobManager(store, workers=1, max_entries_per_shard=5)
+        try:
+            job = await manager.submit(SPEC)
+            await job.wait(timeout=120)
+            return job
+        finally:
+            await manager.close()
+
+    job = run_async(scenario())
+    assert job.state == "completed"
+    assert len(job.shards) > 1
+    # One write, after the assembled result joined every shard.
+    assert writes == [len(job.shards) + 1]
+    assert ResultStore(tmp_path).keys() == store.keys()
+
+
 def test_resubmit_after_crash_skips_completed_shards(tmp_path, reference):
     """A fresh manager over the same store resumes from stored shards.
 
@@ -375,7 +404,7 @@ def service(tmp_path_factory):
     store = ResultStore(tmp_path_factory.mktemp("job-store"))
     loop = asyncio.new_event_loop()
     server = ResultServer(
-        store, port=0, batch_window_ms=1.0, workers=1, shard_entries=5, quiet=True
+        store, port=0, workers=1, shard_entries=5, quiet=True
     )
     started = threading.Event()
 

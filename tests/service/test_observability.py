@@ -5,9 +5,9 @@ Three servers, each a module fixture:
 * ``service`` — workers=0, unbounded: metric families, the JSON stats
   twin, trace-header echo, and jobs/leases pagination (fleet shards stay
   claimable forever because nothing executes them locally);
-* ``bounded`` — ``max_pending_evals=1`` with a long batch window and
-  ``max_pending_jobs=1``: saturation must answer 429 with ``Retry-After``
-  and count rejections in the metrics;
+* ``bounded`` — ``max_pending_evals=1`` and ``max_pending_jobs=1``:
+  saturation must answer 429 with ``Retry-After`` and count rejections
+  in the metrics;
 * ``bare`` — ``metrics=False``: the endpoints 404 and nothing else breaks.
 """
 
@@ -17,7 +17,7 @@ import asyncio
 import dataclasses
 import http.client
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 
 import pytest
 
@@ -71,19 +71,16 @@ def start_server(tmp_path_factory, **kwargs):
 @pytest.fixture(scope="module")
 def service(tmp_path_factory):
     """Fleet-only (workers=0) server: shards stay pending until leased."""
-    server, client, stop = start_server(
-        tmp_path_factory, batch_window_ms=1.0, workers=0
-    )
+    server, client, stop = start_server(tmp_path_factory, workers=0)
     yield server, client
     stop()
 
 
 @pytest.fixture(scope="module")
 def bounded(tmp_path_factory):
-    """Tight admission bounds: 1 pending eval (long window), 1 active job."""
+    """Tight admission bounds: 1 pending or in-flight eval, 1 active job."""
     server, client, stop = start_server(
         tmp_path_factory,
-        batch_window_ms=300.0,
         workers=0,
         max_pending_evals=1,
         max_pending_jobs=1,
@@ -95,9 +92,7 @@ def bounded(tmp_path_factory):
 @pytest.fixture(scope="module")
 def bare(tmp_path_factory):
     """Metrics disabled (the ``serve --no-metrics`` configuration)."""
-    server, client, stop = start_server(
-        tmp_path_factory, batch_window_ms=1.0, metrics=False
-    )
+    server, client, stop = start_server(tmp_path_factory, metrics=False)
     yield server, client
     stop()
 
@@ -235,6 +230,11 @@ class TestTraceHeader:
 class TestBackpressure:
     def test_saturated_batcher_answers_429_with_retry_after(self, bounded):
         server, client = bounded
+        rejected_before = server.batcher.stats.rejected
+        # Park the evaluation worker so the one admitted request stays in
+        # flight until every other call has been turned away.
+        gate = threading.Event()
+        server._worker.submit(gate.wait, 30.0)
 
         def one(_index: int):
             try:
@@ -244,16 +244,24 @@ class TestBackpressure:
             except ServiceError as error:
                 return error
 
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            outcomes = list(pool.map(one, range(6)))
+        outcomes = []
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                calls = [pool.submit(one, index) for index in range(6)]
+                for call in as_completed(calls, timeout=30.0):
+                    outcomes.append(call.result())
+                    if len(outcomes) == 5:
+                        gate.set()  # the five refusals are in
+        finally:
+            gate.set()
         rejected = [o for o in outcomes if isinstance(o, ServiceError)]
         served = [o for o in outcomes if isinstance(o, dict)]
-        assert served, "the one admitted request must still be answered"
-        assert rejected, "max_pending_evals=1 under 6 concurrent calls must shed"
+        assert len(served) == 1, "the one admitted request must still be answered"
+        assert len(rejected) == 5, "max_pending_evals=1 must shed every other call"
         for error in rejected:
             assert error.status == 429
             assert error.retry_after_s is not None and error.retry_after_s >= 1
-        assert server.batcher.stats.rejected >= len(rejected)
+        assert server.batcher.stats.rejected - rejected_before == 5
         text = client.metrics_text()
         assert 'repro_http_rejected_total{queue="evaluate"}' in text
         assert "repro_batcher_rejected_total 0" not in text

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 import shutil
 
@@ -154,6 +155,45 @@ class TestIndexSelfHealing:
         reopened = ResultStore(tmp_path)
         assert reopened.keys() == [key]
         assert reopened.get(key).evaluations == result.evaluations
+
+    def test_index_is_compact_json(self, tmp_path, result, other_result):
+        store = ResultStore(tmp_path)
+        store.put(result)
+        store.put(other_result)
+        text = (tmp_path / "index.json").read_text()
+        assert "\n" not in text.rstrip("\n")
+        assert json.loads(text)["records"].keys() == set(store.keys())
+
+    def test_indented_index_reopens_without_rebuild(
+        self, tmp_path, result, other_result, monkeypatch
+    ):
+        """An index written indented, as earlier releases did, is trusted."""
+        store = ResultStore(tmp_path)
+        keys = [store.put(result), store.put(other_result)]
+        index = tmp_path / "index.json"
+        index.write_text(json.dumps(json.loads(index.read_text()), indent=2) + "\n")
+        indented = index.read_bytes()
+
+        def no_rebuild(self):
+            raise AssertionError("an in-sync indented index must not be rebuilt")
+
+        monkeypatch.setattr(ResultStore, "rebuild_index", no_rebuild)
+        reopened = ResultStore(tmp_path)
+        assert reopened.keys() == keys
+        assert reopened.get(keys[1]).points
+        assert index.read_bytes() == indented
+
+    def test_flush_index_writes_only_deferred_rows(self, tmp_path, result, other_result):
+        store = ResultStore(tmp_path)
+        store.put(result)
+        index = tmp_path / "index.json"
+        before = index.stat().st_mtime_ns, index.stat().st_ino
+        store.flush_index()  # nothing deferred: the file is left alone
+        assert (index.stat().st_mtime_ns, index.stat().st_ino) == before
+        key = store.put_payload(result_to_dict(other_result), flush_index=False)
+        assert key not in json.loads(index.read_text())["records"]
+        store.flush_index()
+        assert key in json.loads(index.read_text())["records"]
 
     def test_missing_index_rebuilds(self, tmp_path, result):
         key = ResultStore(tmp_path).put(result)

@@ -65,7 +65,6 @@ def service(tmp_path_factory):
     server = ResultServer(
         store,
         port=0,
-        batch_window_ms=1.0,
         workers=0,
         shard_entries=5,
         lease_ttl_s=LEASE_TTL_S,
